@@ -7,7 +7,9 @@ over positive semidefinite product operators at distance R from the
 identity. The inner minimization is nonconvex; it is attacked by multi-start
 local descent with a quadratic distance penalty, so the reported values are
 best-effort estimates (upper estimates of each inner minimum) rather than
-certificates. Diagnostics and a sampling cross-check accompany the result.
+certificates. Restarts stop early at radii that provably cannot hold the
+maximum, which leaves the bound unchanged. Diagnostics on restarts,
+convergence, pruned and failed radii accompany the result.
 """
 
 from __future__ import annotations
@@ -210,10 +212,39 @@ class OptimizerOptions:
     sigma_min: float = 0.05
     sigma_max: float = 1.0
 
+    def __post_init__(self):
+        checks = (
+            (self.restarts >= 1, "restarts must be at least 1"),
+            (self.r_steps >= 1, "r_steps must be at least 1"),
+            (self.seed >= 0, "seed must be nonnegative"),
+            (self.penalty_stages >= 1, "penalty_stages must be at least 1"),
+            (self.max_iters >= 1, "max_iters must be at least 1"),
+            (self.tol > 0, "tol must be positive"),
+            (self.penalty_base > 0, "penalty_base must be positive"),
+            (self.refine_levels >= 0, "refine_levels must be nonnegative"),
+            (self.refine_points >= 1, "refine_points must be at least 1"),
+            (0 <= self.sigma_min <= self.sigma_max,
+             "need 0 <= sigma_min <= sigma_max"),
+        )
+        problems = [message for ok, message in checks if not ok]
+        if problems:
+            raise ValueError("invalid optimizer options: "
+                             + "; ".join(problems))
+
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Distance curve over the radius grid and the resulting error bound."""
+    """Distance curve over the radius grid and the resulting error bound.
+
+    ``delta_r`` holds the best distance found at each radius. Where
+    ``diagnostics["pruned"]`` is true, the radius stopped restarting once its
+    running minimum fell below a finished radius's value, so its entry is an
+    upper estimate of what all restarts would give, still strictly below
+    ``diagnostics["max_delta"]``. ``restarts_total``, ``projected_total`` and
+    ``converged_fraction`` count the restarts actually run;
+    ``failed_radii`` counts radii where no restart reached a feasible point,
+    which report 0.
+    """
 
     r_grid: tuple[float, ...]
     delta_r: tuple[float, ...]
@@ -404,79 +435,125 @@ def _project_to_radius(psd, r_target: float):
     return None
 
 
-def _minimize_at_radius(problem: _BoundProblem, r_target: float,
-                        opts: OptimizerOptions, seed_key: tuple):
-    """Best found scaled distance at one radius, with restart diagnostics."""
-    diag = {"restarts": opts.restarts, "converged": 0, "projected": 0,
-            "rank_one_mode": False}
+def _restart(problem: _BoundProblem, r_target: float,
+             opts: OptimizerOptions, seed_key: tuple, k: int):
+    """Run restart ``k`` at one radius: (scaled distance or None, converged).
+
+    None means the descent ended at a point that could not be projected onto
+    the radius. Each (seed key, restart) pair has its own seed stream, so a
+    restart returns the same value whatever else runs before it.
+    """
     if r_target < 1e-14:
         # Only multiples of the identity sit at radius zero.
-        return 0.0, {**diag, "converged": opts.restarts,
-                     "projected": opts.restarts}
+        return 0.0, True
     rank_one = abs(r_target - max_radius(problem.total)) < 1e-12
-    diag["rank_one_mode"] = rank_one
     shapes = [(1, d) if rank_one else (d, d) for d in problem.dims]
-    best = math.inf
-    for k in range(opts.restarts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=opts.seed,
-                                   spawn_key=(*seed_key, k))
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=opts.seed, spawn_key=(*seed_key, k))
+    )
+    if opts.restarts > 1:
+        sigma = opts.sigma_min + (opts.sigma_max - opts.sigma_min) * (
+            k / (opts.restarts - 1)
         )
-        if opts.restarts > 1:
-            sigma = opts.sigma_min + (opts.sigma_max - opts.sigma_min) * (
-                k / (opts.restarts - 1)
-            )
-        else:
-            sigma = opts.sigma_min
-        factors = []
-        for shape in shapes:
-            noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            if rank_one:
-                factors.append(noise)
-            else:
-                factors.append(np.eye(shape[0]) + sigma * noise)
-        x = _pack(_rescale_factors(factors))
-        converged = True
+    else:
+        sigma = opts.sigma_min
+    factors = []
+    for shape in shapes:
+        noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         if rank_one:
-            # Rank-1 product operators all sit exactly at the maximal
-            # radius, so no penalty or projection is needed.
-            res = sciopt.minimize(
-                _objective, x, args=(problem, shapes, 0.0, 0.0),
-                jac=True, method="L-BFGS-B",
-                options={"maxiter": opts.max_iters, "ftol": opts.tol,
-                         "gtol": 1e-12},
-            )
-            converged = bool(res.success)
-            psd = [f.conj().T @ f for f in _unpack(res.x, shapes)]
-            value = problem.delta_dense(_kron_all(psd))
-            diag["projected"] += 1
+            factors.append(noise)
         else:
-            weight = opts.penalty_base
-            rsq_target = r_target * r_target
-            for _ in range(opts.penalty_stages):
-                res = sciopt.minimize(
-                    _objective, x, args=(problem, shapes, weight, rsq_target),
-                    jac=True, method="L-BFGS-B",
-                    options={"maxiter": opts.max_iters, "ftol": opts.tol,
-                             "gtol": 1e-12},
-                )
-                converged = converged and bool(res.success)
-                x = _pack(_rescale_factors(_unpack(res.x, shapes)))
-                weight *= 10.0
-            psd = [f.conj().T @ f for f in _unpack(x, shapes)]
-            projected = _project_to_radius(psd, r_target)
-            if projected is None:
-                continue
-            diag["projected"] += 1
-            value = problem.delta_dense(_kron_all(projected))
-        diag["converged"] += int(converged)
-        if value < best:
-            best = value
-    if not math.isfinite(best):
-        # No restart produced a feasible point; report the trivial upper
-        # value so the overall bound stays a best-effort underestimate.
-        return 0.0, {**diag, "failed": True}
-    return best, diag
+            factors.append(np.eye(shape[0]) + sigma * noise)
+    x = _pack(_rescale_factors(factors))
+    if rank_one:
+        # Rank-1 product operators all sit exactly at the maximal radius, so
+        # no penalty or projection is needed.
+        res = sciopt.minimize(
+            _objective, x, args=(problem, shapes, 0.0, 0.0),
+            jac=True, method="L-BFGS-B",
+            options={"maxiter": opts.max_iters, "ftol": opts.tol,
+                     "gtol": 1e-12},
+        )
+        psd = [f.conj().T @ f for f in _unpack(res.x, shapes)]
+        return problem.delta_dense(_kron_all(psd)), bool(res.success)
+    converged = True
+    weight = opts.penalty_base
+    rsq_target = r_target * r_target
+    for _ in range(opts.penalty_stages):
+        res = sciopt.minimize(
+            _objective, x, args=(problem, shapes, weight, rsq_target),
+            jac=True, method="L-BFGS-B",
+            options={"maxiter": opts.max_iters, "ftol": opts.tol,
+                     "gtol": 1e-12},
+        )
+        converged = converged and bool(res.success)
+        x = _pack(_rescale_factors(_unpack(res.x, shapes)))
+        weight *= 10.0
+    psd = [f.conj().T @ f for f in _unpack(x, shapes)]
+    projected = _project_to_radius(psd, r_target)
+    if projected is None:
+        return None, converged
+    return problem.delta_dense(_kron_all(projected)), converged
+
+
+@dataclass
+class _RadiusRun:
+    """Running state of the restarts at one radius."""
+
+    radius: float
+    key: tuple
+    best: float = math.inf
+    restarts: int = 0
+    converged: int = 0
+    projected: int = 0
+    pruned: bool = False
+
+    @property
+    def failed(self) -> bool:
+        return not math.isfinite(self.best)
+
+    @property
+    def value(self) -> float:
+        # A radius where no restart reached a feasible point reports the
+        # trivial value 0, which can only lower the bound.
+        return 0.0 if self.failed else self.best
+
+
+def _sweep(problem: _BoundProblem, batch, opts: OptimizerOptions,
+           floor: float = -math.inf):
+    """Best-first restarts over a batch of (radius, seed key) pairs.
+
+    Every radius is probed with restart 0; the radii then finish in
+    decreasing order of their probe value. A radius stops early once its
+    running minimum drops strictly below ``floor``, the largest final value
+    among radii that ran all their restarts: its own minimum is then below
+    the maximum, so it cannot be the argmax. Returns the runs in batch order
+    and the updated floor.
+    """
+    runs = [_RadiusRun(float(r), key) for r, key in batch]
+
+    def step(run):
+        value, converged = _restart(problem, run.radius, opts, run.key,
+                                    run.restarts)
+        run.restarts += 1
+        if value is None:
+            return
+        run.projected += 1
+        run.converged += int(converged)
+        if value < run.best:
+            run.best = value
+
+    for run in runs:
+        step(run)
+    for run in sorted(runs, key=lambda run: run.best, reverse=True):
+        while run.restarts < opts.restarts:
+            if run.best < floor:
+                run.pruned = True
+                break
+            step(run)
+        else:
+            floor = max(floor, run.value)
+    return runs, floor
 
 
 def min_distance_at_radius(s: StateSet, radius: float,
@@ -484,15 +561,16 @@ def min_distance_at_radius(s: StateSet, radius: float,
     """Best found scaled zonotope distance over product operators at a radius.
 
     Deterministic for a fixed seed. The optimizer is local, so the value is
-    an upper estimate of the true minimum.
+    an upper estimate of the true minimum. A single radius is never pruned,
+    so every restart runs.
     """
     opts = opts or OptimizerOptions()
     problem = _BoundProblem(s)
     rmax = max_radius(problem.total)
     if not -1e-12 <= radius <= rmax + 1e-12:
         raise ValueError(f"radius {radius!r} outside [0, {rmax}]")
-    value, _ = _minimize_at_radius(problem, float(radius), opts, seed_key=(0,))
-    return value
+    (run,), _ = _sweep(problem, [(float(radius), (0,))], opts)
+    return run.value
 
 
 def error_lower_bound(s: StateSet,
@@ -501,50 +579,71 @@ def error_lower_bound(s: StateSet,
 
     The grid is refined around the running maximum; all randomness derives
     from the seed, so repeated runs are identical.
+
+    Each batch of radii (the initial grid, then the fresh radii of one
+    refinement level) runs best-first, and a radius stops restarting once
+    its running minimum falls strictly below the largest final value of a
+    radius that ran all its restarts (see ``_sweep``). A pruned radius can
+    never be the argmax, so ``p_err_lower``, the argmax and the refinement
+    radii are those of a sweep that runs every restart everywhere; only the
+    pruned radii's ``delta_r`` differ, being upper estimates that still lie
+    below ``max_delta``.
     """
     opts = opts or OptimizerOptions()
     problem = _BoundProblem(s)
     rmax = max_radius(problem.total)
     grid = list(np.linspace(0.0, rmax, opts.r_steps))
-    evaluations: dict[float, float] = {}
-    totals = {"restarts": 0, "converged": 0, "projected": 0}
+    runs: dict[float, _RadiusRun] = {}
+    floor = -math.inf
 
-    def run(radius, key):
-        value, diag = _minimize_at_radius(problem, radius, opts, seed_key=key)
-        evaluations[radius] = value
-        for name in totals:
-            totals[name] += diag.get(name, 0)
+    def run_batch(batch):
+        nonlocal floor
+        done, floor = _sweep(problem, batch, opts, floor)
+        for run in done:  # batch order keeps max() tie-breaking stable
+            runs[run.radius] = run
 
-    for i, r in enumerate(grid):
-        run(r, (0, i))
+    def value(radius):
+        return runs[radius].value
+
+    run_batch([(r, (0, i)) for i, r in enumerate(grid)])
     spacing = rmax / (opts.r_steps - 1) if opts.r_steps > 1 else rmax
     for level in range(1, opts.refine_levels + 1):
-        best_r = max(evaluations, key=evaluations.get)
+        best_r = max(runs, key=value)
         lo = max(0.0, best_r - spacing)
         hi = min(rmax, best_r + spacing)
         fresh = [
             r for r in np.linspace(lo, hi, opts.refine_points)
-            if all(abs(r - seen) > 1e-12 for seen in evaluations)
+            if all(abs(r - seen) > 1e-12 for seen in runs)
         ]
-        for j, r in enumerate(fresh):
-            run(float(r), (level, j))
+        run_batch([(float(r), (level, j)) for j, r in enumerate(fresh)])
         spacing /= 2.0
 
-    radii = tuple(sorted(evaluations))
-    deltas = tuple(evaluations[r] for r in radii)
-    best_r = max(evaluations, key=evaluations.get)
-    best_delta = evaluations[best_r]
+    radii = tuple(sorted(runs))
+    deltas = tuple(value(r) for r in radii)
+    best_r = max(runs, key=value)
+    best_delta = value(best_r)
+    restarts = sum(run.restarts for run in runs.values())
     converged_fraction = (
-        totals["converged"] / totals["restarts"] if totals["restarts"] else 1.0
+        sum(run.converged for run in runs.values()) / restarts
+        if restarts else 1.0
     )
+    failed = sum(run.failed for run in runs.values())
+    warns = []
+    if converged_fraction <= 0.5:
+        warns.append("more than half of the restarts did not report "
+                     "convergence")
+    if failed:
+        warns.append(f"{failed} of {len(radii)} radii reached no feasible "
+                     "point in any restart and report 0")
     diagnostics = {
         "argmax_r": best_r,
         "max_delta": best_delta,
-        "restarts_total": totals["restarts"],
+        "restarts_total": restarts,
         "converged_fraction": converged_fraction,
-        "projected_total": totals["projected"],
-        "warnings": [] if converged_fraction > 0.5 else
-        ["more than half of the restarts did not report convergence"],
+        "projected_total": sum(run.projected for run in runs.values()),
+        "pruned": [runs[r].pruned for r in radii],
+        "failed_radii": failed,
+        "warnings": warns,
     }
     return BoundResult(
         r_grid=radii,

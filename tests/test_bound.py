@@ -428,3 +428,87 @@ class TestErrorLowerBound:
         a = error_lower_bound(s, FAST_OPTS)
         b = error_lower_bound(permuted, FAST_OPTS)
         assert abs(a.p_err_lower - b.p_err_lower) <= 1e-3
+
+
+class TestOptimizerOptions:
+    def test_defaults_valid(self):
+        OptimizerOptions()
+
+    @pytest.mark.parametrize("field,value", [
+        ("restarts", 0), ("r_steps", 0), ("seed", -1),
+        ("penalty_stages", 0), ("max_iters", 0), ("tol", 0.0),
+        ("penalty_base", 0.0), ("refine_levels", -1), ("refine_points", 0),
+        ("sigma_min", -0.1), ("sigma_min", 2.0),
+    ])
+    def test_rejects_invalid(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerOptions(**{field: value})
+
+
+class TestPruning:
+    # p_err_lower and argmax_r of the sweep that ran every restart at every
+    # radius, for FAST_OPTS; pruning must reproduce them.
+    FULL_SWEEP = {
+        "bell": (bell_states, 0.24999999999999994, 0.8660254037844386),
+        "tiles": (tiles, 0.0003256837405614707, 0.23570226039551584),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FULL_SWEEP))
+    def test_bound_matches_full_sweep(self, name):
+        build, p_err, argmax = self.FULL_SWEEP[name]
+        res = error_lower_bound(build(), FAST_OPTS)
+        assert res.p_err_lower == pytest.approx(p_err, rel=0, abs=1e-12)
+        assert res.diagnostics["argmax_r"] == pytest.approx(
+            argmax, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(FULL_SWEEP))
+    def test_pruned_radii_below_max(self, name):
+        res = error_lower_bound(self.FULL_SWEEP[name][0](), FAST_OPTS)
+        pruned = res.diagnostics["pruned"]
+        assert len(pruned) == len(res.r_grid)
+        assert any(pruned)
+        for r, delta, flag in zip(res.r_grid, res.delta_r, pruned):
+            if flag:
+                assert delta < res.diagnostics["max_delta"]
+                assert r != res.diagnostics["argmax_r"]
+
+    def test_bell_runs_fewer_restarts(self):
+        res = error_lower_bound(bell_states(), FAST_OPTS)
+        assert res.diagnostics["restarts_total"] \
+            < len(res.r_grid) * FAST_OPTS.restarts
+        assert res.diagnostics["projected_total"] \
+            == res.diagnostics["restarts_total"]
+
+    def test_single_radius_never_pruned(self, monkeypatch):
+        import nlwe.bound as bound
+
+        calls = []
+        original = bound._restart
+
+        def counting(*args):
+            calls.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(bound, "_restart", counting)
+        min_distance_at_radius(bell_states(), 0.4, FAST_OPTS)
+        assert calls == list(range(FAST_OPTS.restarts))
+
+
+class TestFailedRadii:
+    def test_reported_and_warned(self, monkeypatch):
+        monkeypatch.setattr("nlwe.bound._project_to_radius",
+                            lambda psd, r: None)
+        res = error_lower_bound(bell_states(), FAST_OPTS)
+        # Only radius 0 and the rank-1 radius need no projection.
+        inner = [d for r, d in zip(res.r_grid, res.delta_r)
+                 if 0 < r < max_radius(4) - 1e-12]
+        assert inner and all(d == 0.0 for d in inner)
+        assert res.diagnostics["failed_radii"] == len(inner)
+        assert any("feasible" in w for w in res.diagnostics["warnings"])
+        assert res.diagnostics["projected_total"] \
+            < res.diagnostics["restarts_total"]
+
+    def test_none_on_healthy_run(self):
+        res = error_lower_bound(two_qubit_demo(), FAST_OPTS)
+        assert res.diagnostics["failed_radii"] == 0
+        assert res.diagnostics["warnings"] == []

@@ -151,6 +151,26 @@ class TestBound:
         assert main([*self.ARGS, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_report_lists_pruned_and_failed_radii(self, capsys):
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert len(diagnostics["pruned"]) == len(json.loads(out)["r_grid"])
+        assert diagnostics["failed_radii"] == 0
+
+    @pytest.mark.parametrize("flag,field", [("--restarts", "restarts"),
+                                            ("--r-steps", "r_steps")])
+    def test_invalid_options_rejected_before_work(self, capsys, monkeypatch,
+                                                  flag, field):
+        def explode(s, opts):
+            raise AssertionError("optimization started")
+
+        monkeypatch.setattr("nlwe.cli.error_lower_bound", explode)
+        code, out, err = run(capsys, "bound", "bell", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert field in err
+
     def test_report_embeds_provenance(self, capsys):
         code, out, _ = run(capsys, *self.ARGS)
         report = json.loads(out)
