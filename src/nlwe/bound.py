@@ -29,6 +29,10 @@ from .families import StateSet
 TRACE_FLOOR = 1e-12
 
 
+def _kron_all(mats) -> np.ndarray:
+    return reduce(np.kron, mats)
+
+
 @dataclass(frozen=True)
 class ProductOperator:
     """PSD product operator assembled from per-party factors as kron(L^dag L).
@@ -61,7 +65,7 @@ class ProductOperator:
         return [f.conj().T @ f for f in self.factors]
 
     def matrix(self) -> np.ndarray:
-        return reduce(np.kron, self.psd_factors())
+        return _kron_all(self.psd_factors())
 
 
 def _materialize(q) -> np.ndarray:
@@ -122,19 +126,13 @@ def zonotope_distance(q, s: StateSet) -> float:
     the state basis, making the distance exactly invariant under rescaling.
     Degenerate inputs whose projected trace vanishes get distance zero.
     """
-    qmat = _materialize(q)
-    pi = discrimination_operator(s)
-    qhat = pi @ qmat @ pi
-    t = qhat.trace().real
-    if t < TRACE_FLOOR:
+    found = _BoundProblem(s).residual(_materialize(q))
+    if found is None:
         warnings.warn("operator has no overlap with the states; "
                       "distance defined as 0", RuntimeWarning, stacklevel=2)
         return 0.0
-    v = s.global_matrix()
-    coeff = np.einsum("md,de,me->m", v.conj(), qhat, v).real
-    coeff = np.maximum(coeff, 0.0)
-    z = (v.T * coeff) @ v.conj()
-    return float(np.linalg.norm(qhat - z) / t)
+    m, t = found
+    return float(np.linalg.norm(m) / t)
 
 
 def quadratic_over_linear_gap(terms) -> float:
@@ -267,23 +265,30 @@ class _BoundProblem:
         self.dims = s.dims
         self.total = s.total_dim
         self.v = s.global_matrix()
-        self.priors = np.asarray(s.priors)
         self.pi = discrimination_operator(s)
         self.pi2 = self.pi @ self.pi
         self.eye = np.eye(self.total)
 
-    # -- scalar evaluations -------------------------------------------------
-
-    def delta_dense(self, qmat: np.ndarray) -> float:
+    def residual(self, qmat: np.ndarray):
+        """``Pi Q Pi`` minus its nearest point of the coefficient cone, and
+        the projected trace; None when that trace is below TRACE_FLOOR."""
         qhat = self.pi @ qmat @ self.pi
         t = qhat.trace().real
         if t < TRACE_FLOOR:
-            return 0.0
+            return None
         coeff = np.maximum(
             np.einsum("md,de,me->m", self.v.conj(), qhat, self.v).real, 0.0
         )
-        z = (self.v.T * coeff) @ self.v.conj()
-        return float(np.linalg.norm(qhat - z) / t)
+        return qhat - (self.v.T * coeff) @ self.v.conj(), t
+
+    # -- scalar evaluations -------------------------------------------------
+
+    def delta_dense(self, qmat: np.ndarray) -> float:
+        found = self.residual(qmat)
+        if found is None:
+            return 0.0
+        m, t = found
+        return float(np.linalg.norm(m) / t)
 
     # -- gradients with respect to the dense operator -----------------------
 
@@ -294,15 +299,10 @@ class _BoundProblem:
         (envelope property of the coordinatewise minimizer), so it is held
         fixed under differentiation.
         """
-        qhat = self.pi @ qmat @ self.pi
-        t = qhat.trace().real
-        if t < TRACE_FLOOR:
+        found = self.residual(qmat)
+        if found is None:
             return 0.0, np.zeros_like(qmat)
-        coeff = np.maximum(
-            np.einsum("md,de,me->m", self.v.conj(), qhat, self.v).real, 0.0
-        )
-        z = (self.v.T * coeff) @ self.v.conj()
-        m = qhat - z
+        m, t = found
         num = np.vdot(m, m).real
         value = num / t**2
         grad = (2.0 / t**2) * (self.pi @ m @ self.pi) \
@@ -333,10 +333,6 @@ def _unpack(x: np.ndarray, shapes) -> list[np.ndarray]:
         out.append(re + 1j * im)
         pos += 2 * size
     return out
-
-
-def _kron_all(mats) -> np.ndarray:
-    return reduce(np.kron, mats)
 
 
 def _factor_gradients(grad_q: np.ndarray, psd: list[np.ndarray]):
@@ -395,10 +391,11 @@ def _rescale_factors(factors):
 def _project_to_radius(psd, r_target: float):
     """Exactly feasible PSD product operator at the requested radius.
 
-    Moves every local part along the segment toward its trace-matched
-    identity (outward beyond the input where PSD permits) and solves for the
-    mixing parameter at which the assembled operator sits at the requested
-    distance. Returns the local parts, or None when the radius is out of
+    Moves every local part along the segment A(t) = c I + t (A - c I)
+    toward its trace-matched identity (outward beyond the input where PSD
+    permits). Local traces stay c d, so D R(t)^2 = prod(1 + t^2 v) - 1 with
+    v = |A - c I|^2 / (c^2 d), increasing in t; its root needs no dense
+    operator. Returns the local parts, or None when the radius is out of
     reach along this curve.
     """
     dims = [a.shape[0] for a in psd]
@@ -414,25 +411,22 @@ def _project_to_radius(psd, r_target: float):
     if not math.isfinite(t_max):
         t_max = 1.0  # every factor proportional to identity
 
-    def parts_at(t):
-        return [(1.0 - t) * c * np.eye(d) + t * a
-                for a, c, d in zip(psd, centers, dims)]
+    # Computed from A - c I, not as |A|^2 / (c^2 d) - 1, which cancels when
+    # a descent ends near a multiple of the identity.
+    shifts = [a - c * np.eye(d) for a, c, d in zip(psd, centers, dims)]
+    v = [np.vdot(m, m).real / (c * c * d)
+         for m, c, d in zip(shifts, centers, dims)]
+    target = 1.0 + math.prod(dims) * r_target * r_target
 
-    def radius_at(t):
-        return distance_from_identity(_kron_all(parts_at(t)))
+    def gap(t):
+        return math.prod(1.0 + t * t * w for w in v) - target
 
     t_hi = t_max * (1.0 - 1e-9)
-    samples = np.linspace(0.0, t_hi, 65)
-    prev = 0.0
-    for t in samples[1:]:
-        r = radius_at(t)
-        if r >= r_target:
-            t_star = sciopt.brentq(
-                lambda u: radius_at(u) - r_target, prev, t, xtol=1e-14
-            )
-            return parts_at(t_star)
-        prev = t
-    return None
+    if gap(t_hi) < 0:
+        return None
+    t_star = sciopt.brentq(gap, 0.0, t_hi, xtol=1e-14)
+    return [c * np.eye(d) + t_star * m
+            for m, c, d in zip(shifts, centers, dims)]
 
 
 def _restart(problem: _BoundProblem, r_target: float,
@@ -467,19 +461,13 @@ def _restart(problem: _BoundProblem, r_target: float,
     x = _pack(_rescale_factors(factors))
     if rank_one:
         # Rank-1 product operators all sit exactly at the maximal radius, so
-        # no penalty or projection is needed.
-        res = sciopt.minimize(
-            _objective, x, args=(problem, shapes, 0.0, 0.0),
-            jac=True, method="L-BFGS-B",
-            options={"maxiter": opts.max_iters, "ftol": opts.tol,
-                     "gtol": 1e-12},
-        )
-        psd = [f.conj().T @ f for f in _unpack(res.x, shapes)]
-        return problem.delta_dense(_kron_all(psd)), bool(res.success)
+        # one unpenalized descent needs no projection.
+        stages, weight = 1, 0.0
+    else:
+        stages, weight = opts.penalty_stages, opts.penalty_base
     converged = True
-    weight = opts.penalty_base
     rsq_target = r_target * r_target
-    for _ in range(opts.penalty_stages):
+    for _ in range(stages):
         res = sciopt.minimize(
             _objective, x, args=(problem, shapes, weight, rsq_target),
             jac=True, method="L-BFGS-B",
@@ -490,10 +478,11 @@ def _restart(problem: _BoundProblem, r_target: float,
         x = _pack(_rescale_factors(_unpack(res.x, shapes)))
         weight *= 10.0
     psd = [f.conj().T @ f for f in _unpack(x, shapes)]
-    projected = _project_to_radius(psd, r_target)
-    if projected is None:
-        return None, converged
-    return problem.delta_dense(_kron_all(projected)), converged
+    if not rank_one:
+        psd = _project_to_radius(psd, r_target)
+        if psd is None:
+            return None, converged
+    return problem.delta_dense(_kron_all(psd)), converged
 
 
 @dataclass
@@ -562,7 +551,8 @@ def min_distance_at_radius(s: StateSet, radius: float,
 
     Deterministic for a fixed seed. The optimizer is local, so the value is
     an upper estimate of the true minimum. A single radius is never pruned,
-    so every restart runs.
+    so every restart runs. When no restart reaches a feasible point, a
+    RuntimeWarning names the radius and the result is 0.
     """
     opts = opts or OptimizerOptions()
     problem = _BoundProblem(s)
@@ -570,6 +560,10 @@ def min_distance_at_radius(s: StateSet, radius: float,
     if not -1e-12 <= radius <= rmax + 1e-12:
         raise ValueError(f"radius {radius!r} outside [0, {rmax}]")
     (run,), _ = _sweep(problem, [(float(radius), (0,))], opts)
+    if run.failed:
+        warnings.warn(f"no restart reached a feasible point at radius "
+                      f"{radius!r}; distance reported as 0", RuntimeWarning,
+                      stacklevel=2)
     return run.value
 
 

@@ -18,6 +18,7 @@ from . import __version__
 from .bound import BoundResult, OptimizerOptions, error_lower_bound
 from .certify import (
     CERTIFIED_INDISCRIMINABLE,
+    DEFAULT_PAIR_TOL,
     EnumerationBudgetExceeded,
     certify,
     certify_cut,
@@ -119,7 +120,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_certify(args) -> int:
     s = _resolve_input(args.input, args)
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else DEFAULT_PAIR_TOL
     payload = _report_header(args, "certify")
     payload["input"] = args.input
     if args.cut == "all-bipartite":
@@ -203,12 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bnd = sub.add_parser("bound", help="error lower bound over a radius grid")
     bnd.add_argument("input")
-    bnd.add_argument("--seed", type=int, default=0)
-    bnd.add_argument("--r-steps", type=int, default=21)
-    bnd.add_argument("--restarts", type=int, default=32)
-    bnd.add_argument("--penalty-stages", type=int, default=3)
-    bnd.add_argument("--max-iters", type=int, default=300)
-    bnd.add_argument("--tol", type=float, default=1e-14)
+    defaults = OptimizerOptions()
+    bnd.add_argument("--seed", type=int, default=defaults.seed)
+    bnd.add_argument("--r-steps", type=int, default=defaults.r_steps)
+    bnd.add_argument("--restarts", type=int, default=defaults.restarts)
+    bnd.add_argument("--penalty-stages", type=int,
+                     default=defaults.penalty_stages)
+    bnd.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    bnd.add_argument("--tol", type=float, default=defaults.tol)
     bnd.add_argument("--theta")
     bnd.add_argument("--n", type=int)
     bnd.add_argument("-o", "--output")

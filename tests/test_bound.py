@@ -348,18 +348,32 @@ class TestProjection:
     def test_projected_points_exactly_feasible(self, rng):
         from nlwe.bound import _kron_all, _project_to_radius
 
-        for _ in range(50):
-            psd = [f.conj().T @ f for f in
-                   random_product_operator((2, 3), rng, sigma=0.8).factors]
-            radius = rng.uniform(0.05, 0.85) * max_radius(6)
-            parts = _project_to_radius(psd, radius)
-            if parts is None:
-                continue  # radius out of reach along this curve
-            q = _kron_all(parts)
-            assert abs(distance_from_identity(q) - radius) <= 1e-9
-            for a in parts:
-                assert np.linalg.eigvalsh(a)[0] >= -1e-12
-            assert np.allclose(q, q.conj().T)
+        for dims in ((2, 3), (2, 2, 2)):
+            for _ in range(50):
+                psd = [f.conj().T @ f for f in
+                       random_product_operator(dims, rng, sigma=0.8).factors]
+                radius = rng.uniform(0.05, 0.85) * max_radius(math.prod(dims))
+                parts = _project_to_radius(psd, radius)
+                if parts is None:
+                    continue  # radius out of reach along this curve
+                q = _kron_all(parts)
+                assert abs(distance_from_identity(q) - radius) <= 1e-9
+                for a in parts:
+                    assert np.linalg.eigvalsh(a)[0] >= -1e-12
+                assert np.allclose(q, q.conj().T)
+
+    def test_near_identity_projection(self, rng):
+        # A descent that collapses to about c I leaves |A - c I| tiny; the
+        # radius must still come out exact.
+        from nlwe.bound import _kron_all, _project_to_radius
+
+        psd = []
+        for d in (2, 3):
+            h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            psd.append(np.eye(d) + 1e-6 * (h + h.conj().T))
+        parts = _project_to_radius(psd, 0.3)
+        assert parts is not None
+        assert abs(distance_from_identity(_kron_all(parts)) - 0.3) <= 1e-9
 
 
 class TestMinDistanceAtRadius:
@@ -507,6 +521,13 @@ class TestFailedRadii:
         assert any("feasible" in w for w in res.diagnostics["warnings"])
         assert res.diagnostics["projected_total"] \
             < res.diagnostics["restarts_total"]
+
+    def test_single_radius_failure_warned(self, monkeypatch):
+        monkeypatch.setattr("nlwe.bound._project_to_radius",
+                            lambda psd, r: None)
+        with pytest.warns(RuntimeWarning, match="radius 0.4"):
+            value = min_distance_at_radius(bell_states(), 0.4, FAST_OPTS)
+        assert value == 0.0
 
     def test_none_on_healthy_run(self):
         res = error_lower_bound(two_qubit_demo(), FAST_OPTS)

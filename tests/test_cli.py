@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from nlwe.bound import OptimizerOptions
 from nlwe.certify import EnumerationBudgetExceeded
-from nlwe.cli import main
+from nlwe.cli import build_parser, main
 from nlwe.families import StateSet, load, save
 
 
@@ -157,6 +158,13 @@ class TestBound:
         diagnostics = json.loads(out)["diagnostics"]
         assert len(diagnostics["pruned"]) == len(json.loads(out)["r_grid"])
         assert diagnostics["failed_radii"] == 0
+
+    def test_defaults_are_optimizer_defaults(self):
+        args = build_parser().parse_args(["bound", "bell"])
+        defaults = OptimizerOptions()
+        for field in ("seed", "r_steps", "restarts", "penalty_stages",
+                      "max_iters", "tol"):
+            assert getattr(args, field) == getattr(defaults, field)
 
     @pytest.mark.parametrize("flag,field", [("--restarts", "restarts"),
                                             ("--r-steps", "r_steps")])
