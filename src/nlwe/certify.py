@@ -37,14 +37,6 @@ def _require_product(s: StateSet, what: str):
         raise ValueError(f"{what} requires product-form states")
 
 
-def _local_grams(s: StateSet) -> list[np.ndarray]:
-    grams = []
-    for party in range(s.parties):
-        v = np.vstack([s.local_state(m, party) for m in range(s.n_states)])
-        grams.append(v.conj() @ v.T)
-    return grams
-
-
 @dataclass(frozen=True)
 class PartyRecord:
     """Per-party outcome: the exclusive pairs, their dyad span, the target."""
@@ -96,29 +88,27 @@ def exclusive_pairs(s: StateSet, party: int,
         raise ValueError(f"party {party} out of range for {s.parties} parties")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    grams = _local_grams(s)
-    n = s.n_states
-    mask = np.abs(grams[party]) <= tol
+    mask = ~np.eye(s.n_states, dtype=bool)
     for beta in range(s.parties):
-        if beta != party:
-            mask &= np.abs(grams[beta]) > tol
-    mask &= ~np.eye(n, dtype=bool)
+        v = s.local_matrix(beta)
+        overlap = np.abs(v.conj() @ v.T)
+        mask &= (overlap <= tol) if beta == party else (overlap > tol)
     return [(int(i), int(j)) for i, j in np.argwhere(mask)]
 
 
-def dyad_span_rank(s: StateSet, party: int, pairs,
-                   tol_rel: float = DEFAULT_RANK_TOL) -> int:
+def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
     """Rank of the local dyads |psi_i><psi_j| over the given index pairs."""
     _require_product(s, "dyad ranking")
     if not 0 <= party < s.parties:
         raise ValueError(f"party {party} out of range for {s.parties} parties")
-    n = s.n_states
-    mats = []
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ValueError(f"invalid index pair ({i}, {j})")
-        mats.append(dyad(s.local_state(i, party), s.local_state(j, party)))
-    return numerical_rank(mats, tol_rel)
+    idx = np.asarray(pairs, dtype=int).reshape(len(pairs), 2)
+    out_of_range = ((idx < 0) | (idx >= s.n_states)).any(axis=1)
+    bad = out_of_range | (idx[:, 0] == idx[:, 1])
+    if bad.any():
+        i, j = idx[np.argmax(bad)]
+        raise ValueError(f"invalid index pair ({i}, {j})")
+    v = s.local_matrix(party)
+    return numerical_rank(dyad(v[idx[:, 0]], v[idx[:, 1]]))
 
 
 def certify(s: StateSet, tol: float = DEFAULT_PAIR_TOL) -> DyadCertificate:
@@ -189,8 +179,8 @@ class ExtendibilityResult:
     witness_ranks: tuple[int, ...] | None
 
 
-def upb_extendibility(s: StateSet, budget: int = 10_000_000,
-                      tol_rel: float = DEFAULT_RANK_TOL) -> ExtendibilityResult:
+def upb_extendibility(s: StateSet,
+                      budget: int = 10_000_000) -> ExtendibilityResult:
     """Decide extendibility by searching state-to-party assignments.
 
     The set can be extended by another orthogonal product state iff some
@@ -219,7 +209,7 @@ def upb_extendibility(s: StateSet, budget: int = 10_000_000,
             resid = v.copy()
             for b in bases[alpha]:
                 resid = resid - np.vdot(b, resid) * b
-            grows = np.linalg.norm(resid) > tol_rel
+            grows = np.linalg.norm(resid) > DEFAULT_RANK_TOL
             if grows and len(bases[alpha]) + 1 >= s.dims[alpha]:
                 continue  # this party would saturate its local space
             assignment[m] = alpha
@@ -237,7 +227,7 @@ def upb_extendibility(s: StateSet, budget: int = 10_000_000,
     if witness is None:
         return ExtendibilityResult(False, None, None)
     ranks = tuple(
-        numerical_rank([s.local_state(m, alpha) for m in group], tol_rel)
+        numerical_rank([s.local_state(m, alpha) for m in group])
         for alpha, group in enumerate(witness)
     )
     return ExtendibilityResult(True, witness, ranks)
@@ -248,8 +238,7 @@ def minimal_upb_count(dims) -> int:
     return sum(int(d) - 1 for d in dims) + 1
 
 
-def minimal_upb_check(s: StateSet,
-                      tol_rel: float = DEFAULT_RANK_TOL) -> bool:
+def minimal_upb_check(s: StateSet) -> bool:
     """Subset-independence test for minimal unextendible product bases.
 
     True iff the set has exactly the minimal member count and, on every
@@ -261,9 +250,9 @@ def minimal_upb_check(s: StateSet,
     if n != minimal_upb_count(s.dims):
         return False
     for alpha, d in enumerate(s.dims):
-        locals_ = [s.local_state(m, alpha) for m in range(n)]
+        v = s.local_matrix(alpha)
         for subset in itertools.combinations(range(n), d):
-            if numerical_rank([locals_[i] for i in subset], tol_rel) < d:
+            if numerical_rank(v[list(subset)]) < d:
                 return False
     return True
 

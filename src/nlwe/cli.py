@@ -52,35 +52,23 @@ def _parse_thetas(text: str) -> tuple[float, float, float, float]:
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
-def _build_family(name: str, args) -> StateSet:
-    theta = getattr(args, "theta", None)
-    n = getattr(args, "n", None)
-    if name == "tiles":
-        return tiles()
-    if name == "bell":
-        return bell_states()
-    if name == "two-qubit-demo":
-        return two_qubit_demo()
-    if name == "rotated-dominoes":
-        thetas = _parse_thetas(theta) if theta else (math.pi / 4,) * 4
-        return rotated_dominoes(*thetas)
-    if name == "gentiles1":
-        return gentiles1(4 if n is None else int(n))
-    if name.startswith("halder-"):
-        variant = name[len("halder-"):].replace("-", "_")
-        return halder_states(variant)
-    raise ValueError(f"unknown family {name!r}")
-
-
-FAMILY_NAMES = (
-    "tiles", "bell", "two-qubit-demo", "rotated-dominoes", "gentiles1",
-    "halder-full", "halder-reduced12", "halder-omit-diag24",
-)
+# Family name -> builder of the set from the parsed ``--theta`` and ``--n``.
+FAMILIES = {
+    "tiles": lambda args: tiles(),
+    "bell": lambda args: bell_states(),
+    "two-qubit-demo": lambda args: two_qubit_demo(),
+    "rotated-dominoes": lambda args: rotated_dominoes(
+        *(_parse_thetas(args.theta) if args.theta else (math.pi / 4,) * 4)),
+    "gentiles1": lambda args: gentiles1(4 if args.n is None else args.n),
+    "halder-full": lambda args: halder_states("full"),
+    "halder-reduced12": lambda args: halder_states("reduced12"),
+    "halder-omit-diag24": lambda args: halder_states("omit_diag24"),
+}
 
 
 def _resolve_input(text: str, args) -> StateSet:
-    if text in FAMILY_NAMES:
-        return _build_family(text, args)
+    if text in FAMILIES:
+        return FAMILIES[text](args)
     path = Path(text)
     if path.exists():
         return load(path)
@@ -110,7 +98,7 @@ def _report_header(args, command: str) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    s = _build_family(args.family, args)
+    s = FAMILIES[args.family](args)
     if args.output:
         save(s, args.output)
     else:
@@ -178,31 +166,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a named family to a file")
-    gen.add_argument("family", choices=FAMILY_NAMES)
-    gen.add_argument("--theta", help="four comma-separated angles in (0, pi/4]")
-    gen.add_argument("--n", type=int, help="system size for gentiles1")
-    gen.add_argument("-o", "--output", help="output path (default stdout)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--theta", help="four comma-separated angles in "
+                                        "(0, pi/4]")
+    common.add_argument("--n", type=int, help="system size for gentiles1")
+    common.add_argument("-o", "--output", help="output path (default stdout)")
+
+    gen = sub.add_parser("generate", parents=[common],
+                         help="write a named family to a file")
+    gen.add_argument("family", choices=FAMILIES)
     gen.set_defaults(func=_cmd_generate)
 
-    cert = sub.add_parser("certify", help="dyad-span certificates")
+    cert = sub.add_parser("certify", parents=[common],
+                          help="dyad-span certificates")
     cert.add_argument("input", help="state-set file or family name")
     cert.add_argument("--cut", help="'0,1|2'-style party blocks or "
                                     "'all-bipartite'")
     cert.add_argument("--tol", type=float, help="overlap tolerance")
-    cert.add_argument("--theta")
-    cert.add_argument("--n", type=int)
-    cert.add_argument("-o", "--output")
     cert.set_defaults(func=_cmd_certify)
 
-    upb = sub.add_parser("upb", help="extendibility and minimality analysis")
+    upb = sub.add_parser("upb", parents=[common],
+                         help="extendibility and minimality analysis")
     upb.add_argument("input")
-    upb.add_argument("--theta")
-    upb.add_argument("--n", type=int)
-    upb.add_argument("-o", "--output")
     upb.set_defaults(func=_cmd_upb)
 
-    bnd = sub.add_parser("bound", help="error lower bound over a radius grid")
+    bnd = sub.add_parser("bound", parents=[common],
+                         help="error lower bound over a radius grid")
     bnd.add_argument("input")
     defaults = OptimizerOptions()
     bnd.add_argument("--seed", type=int, default=defaults.seed)
@@ -212,9 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default=defaults.penalty_stages)
     bnd.add_argument("--max-iters", type=int, default=defaults.max_iters)
     bnd.add_argument("--tol", type=float, default=defaults.tol)
-    bnd.add_argument("--theta")
-    bnd.add_argument("--n", type=int)
-    bnd.add_argument("-o", "--output")
     bnd.set_defaults(func=_cmd_bound)
     return parser
 

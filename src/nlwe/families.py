@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import normalized, tensor
+from .linalg import dyad, normalized, tensor
 
 ORTHOGONALITY_TOL = 1e-10
 PRIOR_SUM_TOL = 1e-10
@@ -109,6 +109,11 @@ class StateSet:
             raise ValueError(f"state {m} has no product form")
         return self.states[m][party]
 
+    def local_matrix(self, party: int) -> np.ndarray:
+        """Every member's local ket on ``party`` stacked as rows, (N, d)."""
+        return np.vstack([self.local_state(m, party)
+                          for m in range(self.n_states)])
+
     def global_state(self, m: int) -> np.ndarray:
         kets = self.states[m]
         if len(kets) == 1:
@@ -121,14 +126,14 @@ class StateSet:
 
     def _check_orthogonality(self):
         v = self.global_matrix()
-        gram = v.conj() @ v.T
-        for i in range(self.n_states):
-            for j in range(i + 1, self.n_states):
-                if abs(gram[i, j]) > ORTHOGONALITY_TOL:
-                    raise ValueError(
-                        f"states {i} and {j} are not orthogonal: "
-                        f"|<i|j>| = {abs(gram[i, j]):.3e}"
-                    )
+        overlap = np.abs(v.conj() @ v.T)
+        bad = np.argwhere(np.triu(overlap > ORTHOGONALITY_TOL, k=1))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(
+                f"states {i} and {j} are not orthogonal: "
+                f"|<i|j>| = {overlap[i, j]:.3e}"
+            )
 
 
 @dataclass(frozen=True)
@@ -374,26 +379,23 @@ def gentiles1_witness_dyads(n: int) -> list[np.ndarray]:
     def h(k, m):
         return _gentiles1_comb(n, k, m, 0)
 
-    def dy(a, b):
-        return np.outer(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex).conj())
-
     out = []
     for i in range(n):
         for j in range(n):
             if j == i or j == (i + half) % n:
                 continue
-            out.append(dy(e[i], e[j]))
+            out.append(dyad(e[i], e[j]))
     for m in range(1, half):
-        out.append(dy(f, h(0, m)))
-        out.append(dy(h(0, m), f))
-    out.append(dy(f, h(1, 1)))
-    out.append(dy(h(1, 1), f))
+        out.append(dyad(f, h(0, m)))
+        out.append(dyad(h(0, m), f))
+    out.append(dyad(f, h(1, 1)))
+    out.append(dyad(h(1, 1), f))
     for k in range(2, half + 1):
-        out.append(dy(f, h(k, 1)))
+        out.append(dyad(f, h(k, 1)))
     for el in range(2, half):
-        out.append(dy(h(1, 1), h(1, el)))
-    out.append(dy(h(1, 2), h(1, 1)))
-    out.append(dy(h(0, 1), e[half]))
+        out.append(dyad(h(1, 1), h(1, el)))
+    out.append(dyad(h(1, 2), h(1, 1)))
+    out.append(dyad(h(0, 1), e[half]))
     return out
 
 

@@ -8,7 +8,7 @@ convention.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,12 +53,19 @@ def tensor(kets: Sequence) -> np.ndarray:
 
 
 def dyad(ket, bra) -> np.ndarray:
-    """Rank-1 operator |ket><bra|."""
-    k = as_ket(ket)
-    b = as_ket(bra)
-    if k.size != b.size:
-        raise ValueError(f"dimension mismatch: {k.size} vs {b.size}")
-    return np.outer(k, b.conj())
+    """Rank-1 operator |ket><bra|, or one per row of (P, d) stacks.
+
+    Stacks give shape (P, d, d); an empty (0, d) stack is allowed.
+    """
+    k = np.asarray(ket, dtype=complex)
+    b = np.asarray(bra, dtype=complex)
+    if k.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {k.shape} vs {b.shape}")
+    if k.ndim == 0 or k.shape[-1] == 0:
+        raise ValueError("ket must have dimension >= 1")
+    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(b))):
+        raise ValueError("ket has non-finite amplitudes")
+    return k[..., :, None] * b.conj()[..., None, :]
 
 
 def frobenius_norm(m) -> float:
@@ -69,22 +76,24 @@ def frobenius_norm(m) -> float:
     return float(np.linalg.norm(arr))
 
 
-def numerical_rank(mats: Iterable, tol_rel: float = DEFAULT_RANK_TOL) -> int:
+def numerical_rank(mats, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     """Dimension of the span of the given matrices (or vectors).
 
-    Each input is flattened into one row of a stacked matrix; the rank is the
-    number of singular values exceeding ``tol_rel`` times the largest one.
-    An empty collection has rank 0.
+    Inputs come as a sequence or stacked along the first axis of one array.
+    Each is flattened into one row; the rank is the number of singular
+    values exceeding ``tol_rel`` times the largest one. Empty input: rank 0.
     """
     if tol_rel <= 0:
         raise ValueError("tol_rel must be positive")
-    rows = [np.asarray(m, dtype=complex).reshape(-1) for m in mats]
-    if not rows:
+    if not isinstance(mats, np.ndarray):
+        rows = [np.asarray(m, dtype=complex).reshape(-1) for m in mats]
+        if any(r.size != rows[0].size for r in rows):
+            raise ValueError("all inputs must have the same dimension")
+        mats = np.array(rows, dtype=complex)
+    if len(mats) == 0:
         return 0
-    dim = rows[0].size
-    if any(r.size != dim for r in rows):
-        raise ValueError("all inputs must have the same dimension")
-    svals = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    stack = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
+    svals = np.linalg.svd(stack, compute_uv=False)
     if svals[0] == 0.0:
         return 0
     return int(np.count_nonzero(svals > tol_rel * svals[0]))

@@ -87,6 +87,8 @@ class TestDyadSpanRank:
             dyad_span_rank(s, 0, [(0, 9)])
         with pytest.raises(ValueError):
             dyad_span_rank(s, 0, [(1, 1)])
+        with pytest.raises(ValueError, match=r"\(2, 2\)"):
+            dyad_span_rank(s, 0, [(0, 1), (2, 2), (0, 9)])
 
     def test_monotone_under_more_pairs(self, rng):
         s = tiles()

@@ -43,6 +43,22 @@ class TestStateSet:
         with pytest.raises(ValueError, match="not orthogonal"):
             StateSet((2,), [([1, 0],), ([1, 1],)])
 
+    def test_names_first_nonorthogonal_pair(self):
+        e = np.eye(4)
+        states = [(e[0],), (e[1],), (e[2],), (e[1] + e[3],)]
+        with pytest.raises(ValueError, match="states 1 and 3"):
+            StateSet((4,), states)
+
+    def test_local_matrix_rows(self):
+        s = tiles()
+        for party in range(s.parties):
+            v = s.local_matrix(party)
+            assert v.shape == (s.n_states, s.dims[party])
+            for m in range(s.n_states):
+                assert np.array_equal(v[m], s.local_state(m, party))
+        with pytest.raises(ValueError, match="product form"):
+            bell_states().local_matrix(0)
+
     def test_unchecked_construction_allowed(self):
         s = StateSet((2,), [([1, 0],), ([1, 1],)], validate=False)
         assert s.n_states == 2

@@ -97,6 +97,31 @@ class TestInner:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+class TestDyad:
+    def test_stacked_rows_match_outer(self, rng):
+        kets = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        bras = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        out = dyad(kets, bras)
+        assert out.shape == (5, 3, 3)
+        for k, b, m in zip(kets, bras, out):
+            assert np.array_equal(m, np.outer(k, b.conj()))
+            assert np.array_equal(dyad(k, b), m)
+
+    def test_empty_stack(self):
+        assert dyad(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("ket, bra", [
+        ([1, 0], [1, 0, 0]),
+        (np.eye(2), np.eye(3)[:2]),
+        ([], []),
+        ([np.nan, 1], [1, 0]),
+        ([[1, 0], [0, 1]], [[1, 0], [np.nan, 1]]),
+    ])
+    def test_rejects_bad_input(self, ket, bra):
+        with pytest.raises(ValueError):
+            dyad(ket, bra)
+
+
 class TestNumericalRank:
     def test_empty(self):
         assert numerical_rank([]) == 0
@@ -144,6 +169,7 @@ class TestNumericalRank:
         scales = gen.uniform(0.1, 10.0, size=len(mats))
         scrambled = [scales[i] * mats[i] for i in order]
         assert numerical_rank(scrambled) == base
+        assert numerical_rank(np.stack(mats)) == base
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
