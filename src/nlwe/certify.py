@@ -75,6 +75,12 @@ class DyadCertificate:
         }
 
 
+def check_pair_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless the overlap tolerance is finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def exclusive_pairs(s: StateSet, party: int,
                     tol: float = DEFAULT_PAIR_TOL) -> list[tuple[int, int]]:
     """Ordered state pairs orthogonal on ``party`` and nowhere else.
@@ -86,8 +92,7 @@ def exclusive_pairs(s: StateSet, party: int,
     _require_product(s, "pair extraction")
     if not 0 <= party < s.parties:
         raise ValueError(f"party {party} out of range for {s.parties} parties")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_pair_tol(tol)
     mask = ~np.eye(s.n_states, dtype=bool)
     for beta in range(s.parties):
         v = s.local_matrix(beta)
@@ -97,7 +102,12 @@ def exclusive_pairs(s: StateSet, party: int,
 
 
 def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
-    """Rank of the local dyads |psi_i><psi_j| over the given index pairs."""
+    """Rank of the local dyads |psi_i><psi_j| over the given index pairs.
+
+    Pairs whose two local kets repeat an earlier pair's kets exactly give a
+    bit-identical dyad, so only the first pair per distinct (ket, ket) is
+    ranked; tile constructions reuse each local ket across many members.
+    """
     _require_product(s, "dyad ranking")
     if not 0 <= party < s.parties:
         raise ValueError(f"party {party} out of range for {s.parties} parties")
@@ -108,6 +118,9 @@ def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
         i, j = idx[np.argmax(bad)]
         raise ValueError(f"invalid index pair ({i}, {j})")
     v = s.local_matrix(party)
+    ket_id = np.unique(v, axis=0, return_inverse=True)[1].reshape(-1)
+    pair_id = ket_id[idx[:, 0]] * len(v) + ket_id[idx[:, 1]]
+    idx = idx[np.sort(np.unique(pair_id, return_index=True)[1])]
     return numerical_rank(dyad(v[idx[:, 0]], v[idx[:, 1]]))
 
 

@@ -22,6 +22,7 @@ from .certify import (
     EnumerationBudgetExceeded,
     certify,
     certify_cut,
+    check_pair_tol,
     strong_nlwe,
     upb_report,
 )
@@ -107,8 +108,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    s = _resolve_input(args.input, args)
     tol = args.tol if args.tol is not None else DEFAULT_PAIR_TOL
+    check_pair_tol(tol)
+    s = _resolve_input(args.input, args)
     payload = _report_header(args, "certify")
     payload["input"] = args.input
     if args.cut == "all-bipartite":

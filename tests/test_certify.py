@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -26,11 +27,12 @@ from nlwe.families import (
     gentiles1,
     gentiles1_witness_dyads,
     halder_states,
+    merge_cut,
     rotated_dominoes,
     tiles,
     two_qubit_demo,
 )
-from nlwe.linalg import numerical_rank
+from nlwe.linalg import dyad, numerical_rank
 
 from conftest import apply_local_unitaries, haar_unitary, permute_states
 
@@ -38,6 +40,13 @@ from conftest import apply_local_unitaries, haar_unitary, permute_states
 def pair_basis(dims):
     e = np.eye(2)
     return StateSet(dims, [(e[0], e[0]), (e[1], e[1])])
+
+
+def full_stack_rank(s, party, pairs):
+    """Reference rank: one dyad row per pair, repeated kets included."""
+    v = s.local_matrix(party)
+    idx = np.asarray(pairs, dtype=int).reshape(len(pairs), 2)
+    return numerical_rank(dyad(v[idx[:, 0]], v[idx[:, 1]]))
 
 
 class TestExclusivePairs:
@@ -69,6 +78,11 @@ class TestExclusivePairs:
         with pytest.raises(ValueError, match="product"):
             exclusive_pairs(bell_states(), 0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_tol_not_finite_positive(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            exclusive_pairs(tiles(), 0, tol)
+
 
 class TestDyadSpanRank:
     def test_demo_ranks(self):
@@ -99,6 +113,43 @@ class TestDyadSpanRank:
             subset = [pairs[i] for i in rng.choice(len(pairs), size=k,
                                                    replace=False)]
             assert dyad_span_rank(s, 0, subset) <= full_rank
+            assert dyad_span_rank(s, 0, subset) == full_stack_rank(s, 0,
+                                                                   subset)
+
+    def test_ranks_distinct_ket_pairs_only(self, monkeypatch):
+        rows = []
+
+        def recording_rank(mats):
+            rows.append(len(mats))
+            return numerical_rank(mats)
+
+        # The package exports the function ``certify`` under the module's name.
+        module = importlib.import_module("nlwe.certify")
+        monkeypatch.setattr(module, "numerical_rank", recording_rank)
+        cert = certify(gentiles1(8))
+        assert rows == [336, 336]
+        assert [r.to_dict()["pair_count"] for r in cert.records] == [1072, 1072]
+
+    def test_repeated_pairs_do_not_change_rank(self):
+        s = tiles()
+        for party in (0, 1):
+            pairs = exclusive_pairs(s, party)
+            assert (dyad_span_rank(s, party, pairs + pairs)
+                    == dyad_span_rank(s, party, pairs))
+
+    def test_no_pairs(self):
+        assert dyad_span_rank(tiles(), 0, []) == 0
+
+    def test_matches_full_stack_reference(self):
+        halder = halder_states("full")
+        sets = [gentiles1(4), gentiles1(6), gentiles1(8), halder, tiles()]
+        sets += [merge_cut(halder, cut)
+                 for cut in PartyCut.bipartitions(halder.parties)]
+        for s in sets:
+            for party in range(s.parties):
+                pairs = exclusive_pairs(s, party)
+                assert (dyad_span_rank(s, party, pairs)
+                        == full_stack_rank(s, party, pairs))
 
 
 class TestCertify:
@@ -125,11 +176,13 @@ class TestCertify:
             for r in certify(s).records:
                 assert r.span_rank <= r.required
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
     def test_gentiles1_certified(self, n):
         cert = certify(gentiles1(n))
         assert cert.verdict == CERTIFIED_INDISCRIMINABLE
         assert all(r.span_rank == n * n - 1 for r in cert.records)
+        pair_count = {4: 32, 6: 276, 8: 1072, 16: 23456}[n]
+        assert all(len(r.pairs) == pair_count for r in cert.records)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_gentiles1_witness_dyads_span(self, n):

@@ -96,6 +96,18 @@ class TestCertify:
         assert code == 2
         assert "neither" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_invalid_tol_rejected_before_loading(self, capsys, monkeypatch,
+                                                 tol):
+        def explode(text, args):
+            raise AssertionError("input loaded")
+
+        monkeypatch.setattr("nlwe.cli._resolve_input", explode)
+        code, out, err = run(capsys, "certify", "tiles", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
 
 class TestUpb:
     def test_tiles(self, capsys):
