@@ -4,7 +4,10 @@ The bound is half the square of the largest achievable value, over radii R,
 of the minimum scaled Frobenius distance between the projected operator
 ``Pi Q Pi`` and the zonotope spanned by the state projectors, where Q ranges
 over positive semidefinite product operators at distance R from the
-identity. The inner minimization is nonconvex; it is attacked by multi-start
+identity. In the basis of the N orthonormal members, ``Pi Q Pi`` is an
+N x N matrix built from local parts alone: for a product set it is the
+entrywise product of the parties' N x N matrices, so no D x D operator is
+formed. The inner minimization is nonconvex; it is attacked by multi-start
 local descent with a quadratic distance penalty, so the reported values are
 best-effort estimates (upper estimates of each inner minimum) rather than
 certificates. Restarts stop early at radii that provably cannot hold the
@@ -56,10 +59,6 @@ class ProductOperator:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.shape[1] for f in self.factors)
-
-    @classmethod
-    def identity(cls, dims) -> "ProductOperator":
-        return cls(tuple(np.eye(int(d)) for d in dims))
 
     def psd_factors(self) -> list[np.ndarray]:
         return [f.conj().T @ f for f in self.factors]
@@ -126,7 +125,8 @@ def zonotope_distance(q, s: StateSet) -> float:
     the state basis, making the distance exactly invariant under rescaling.
     Degenerate inputs whose projected trace vanishes get distance zero.
     """
-    found = _BoundProblem(s).residual(_materialize(q))
+    c = np.sqrt(s.priors)[:, None] * s.global_matrix()
+    found = _residual(c.conj() @ _materialize(q) @ c.T)
     if found is None:
         warnings.warn("operator has no overlap with the states; "
                       "distance defined as 0", RuntimeWarning, stacklevel=2)
@@ -217,12 +217,13 @@ class OptimizerOptions:
             (self.seed >= 0, "seed must be nonnegative"),
             (self.penalty_stages >= 1, "penalty_stages must be at least 1"),
             (self.max_iters >= 1, "max_iters must be at least 1"),
-            (self.tol > 0, "tol must be positive"),
-            (self.penalty_base > 0, "penalty_base must be positive"),
+            (0 < self.tol < math.inf, "tol must be finite and positive"),
+            (0 < self.penalty_base < math.inf,
+             "penalty_base must be finite and positive"),
             (self.refine_levels >= 0, "refine_levels must be nonnegative"),
             (self.refine_points >= 1, "refine_points must be at least 1"),
-            (0 <= self.sigma_min <= self.sigma_max,
-             "need 0 <= sigma_min <= sigma_max"),
+            (0 <= self.sigma_min <= self.sigma_max < math.inf,
+             "need 0 <= sigma_min <= sigma_max, sigma_max finite"),
         )
         problems = [message for ok, message in checks if not ok]
         if problems:
@@ -258,64 +259,91 @@ class BoundResult:
         }
 
 
+def _residual(p: np.ndarray):
+    """Member-basis ``Pi Q Pi`` minus its clamped diagonal, the nearest point
+    of the coefficient cone, and its trace; None below TRACE_FLOOR."""
+    t = p.trace().real
+    if t < TRACE_FLOOR:
+        return None
+    return p - np.diag(np.maximum(p.diagonal().real, 0.0)), t
+
+
 class _BoundProblem:
-    """Precomputed state data plus objective/gradient evaluators."""
+    """Distance evaluators in the member basis, from local parts only.
+
+    Members are combinations of product kets ("atoms"), one stack X_a per
+    party: a product set's members scaled by w = sqrt(p), else the
+    computational basis. For Q = kron(A_a) the atoms' matrix H is the
+    entrywise product of the local conj(X_a) A_a X_a^T. ``Pi Q Pi`` in the
+    member basis is H for a product set, conj(C) H C^T with C = diag(w) V
+    otherwise."""
 
     def __init__(self, s: StateSet):
         self.dims = s.dims
         self.total = s.total_dim
-        self.v = s.global_matrix()
-        self.pi = discrimination_operator(s)
-        self.pi2 = self.pi @ self.pi
-        self.eye = np.eye(self.total)
+        w = np.sqrt(s.priors)[:, None]
+        if s.all_product:
+            atoms = [s.local_matrix(a) for a in range(s.parties)]
+            atoms[0] = w * atoms[0]  # one party carries the weights
+            self.coeff = None
+        else:
+            index = np.unravel_index(np.arange(self.total), self.dims)
+            atoms = [np.eye(d)[i] for d, i in zip(self.dims, index)]
+            c = w * s.global_matrix()
+            self.coeff = (c.conj(), c.T)
+        # Each map M -> left M right pulls a gradient G back as right G left.
+        self.atoms = [(x.conj(), x.T) for x in atoms]
 
-    def residual(self, qmat: np.ndarray):
-        """``Pi Q Pi`` minus its nearest point of the coefficient cone, and
-        the projected trace; None when that trace is below TRACE_FLOOR."""
-        qhat = self.pi @ qmat @ self.pi
-        t = qhat.trace().real
-        if t < TRACE_FLOOR:
-            return None
-        coeff = np.maximum(
-            np.einsum("md,de,me->m", self.v.conj(), qhat, self.v).real, 0.0
-        )
-        return qhat - (self.v.T * coeff) @ self.v.conj(), t
+    def _member_matrix(self, psd):
+        local = [bra @ a @ ket for (bra, ket), a in zip(self.atoms, psd)]
+        p = math.prod(local)
+        if self.coeff is not None:
+            left, right = self.coeff
+            p = left @ p @ right
+        return local, p
 
-    # -- scalar evaluations -------------------------------------------------
-
-    def delta_dense(self, qmat: np.ndarray) -> float:
-        found = self.residual(qmat)
+    def delta(self, psd) -> float:
+        """Scaled zonotope distance of kron(psd); 0 below TRACE_FLOOR."""
+        found = _residual(self._member_matrix(psd)[1])
         if found is None:
             return 0.0
         m, t = found
         return float(np.linalg.norm(m) / t)
 
-    # -- gradients with respect to the dense operator -----------------------
-
-    def delta_sq_grad(self, qmat: np.ndarray):
-        """Value and Hermitian gradient matrix of the squared distance.
+    def delta_sq_grad(self, psd):
+        """Squared distance and its gradient G_a on each local part, with
+        df = Re sum(conj(G_a) * dA_a).
 
         The nearest zonotope point is locally constant in the operator
         (envelope property of the coordinatewise minimizer), so it is held
         fixed under differentiation.
         """
-        found = self.residual(qmat)
+        local, p = self._member_matrix(psd)
+        found = _residual(p)
         if found is None:
-            return 0.0, np.zeros_like(qmat)
+            return 0.0, [np.zeros_like(a) for a in psd]
         m, t = found
         num = np.vdot(m, m).real
-        value = num / t**2
-        grad = (2.0 / t**2) * (self.pi @ m @ self.pi) \
-            - (2.0 * num / t**3) * self.pi2
-        return value, grad
+        g = (2.0 / t**2) * m - (2.0 * num / t**3) * np.eye(len(m))
+        if self.coeff is not None:
+            left, right = self.coeff
+            g = right @ g @ left
+        gt = g.T  # the entrywise factor enters transposed: g * others^T
+        grads = [ket @ (gt * math.prod(local[:a] + local[a + 1:])).T @ bra
+                 for a, (bra, ket) in enumerate(self.atoms)]
+        return num / t**2, grads
 
-    def rsq_grad(self, qmat: np.ndarray):
-        """Value and gradient of the squared distance from the identity."""
-        t = qmat.trace().real
-        nsq = np.vdot(qmat, qmat).real
-        value = nsq / t**2 - 1.0 / self.total
-        grad = (2.0 / t**2) * qmat - (2.0 * nsq / t**3) * self.eye
-        return value, grad
+
+def _radius_sq_grad(psd):
+    """Squared distance of kron(psd) from the identity, and its gradient on
+    each local part; both factorize, as |Q|^2 / Tr(Q)^2 = prod |A|^2 / prod
+    Tr(A)^2."""
+    norms = [np.vdot(a, a).real for a in psd]
+    traces = [a.trace().real for a in psd]
+    ratio = math.prod(norms) / math.prod(traces) ** 2
+    grads = [(2.0 * ratio / n) * a - (2.0 * ratio / t) * np.eye(len(a))
+             for a, n, t in zip(psd, norms, traces)]
+    return ratio - 1.0 / math.prod(len(a) for a in psd), grads
 
 
 def _pack(factors) -> np.ndarray:
@@ -335,47 +363,18 @@ def _unpack(x: np.ndarray, shapes) -> list[np.ndarray]:
     return out
 
 
-def _factor_gradients(grad_q: np.ndarray, psd: list[np.ndarray]):
-    """Pull a Hermitian operator-space gradient back onto each party.
-
-    Returns per-party matrices C with df = Tr(C dA) for that party's local
-    part A, contracting the other parties with their current local parts.
-    """
-    parts = len(psd)
-    dims = [a.shape[0] for a in psd]
-    tens = grad_q.reshape(*dims, *dims)
-    letters = "abcdefghijkl"
-    out = []
-    for alpha in range(parts):
-        scripts = [letters[:parts] + letters[parts:2 * parts]]
-        operands = [tens]
-        for beta in range(parts):
-            if beta == alpha:
-                continue
-            scripts.append(letters[parts + beta] + letters[beta])
-            operands.append(psd[beta])
-        target = letters[alpha] + letters[parts + alpha]
-        out.append(np.einsum(",".join(scripts) + "->" + target, *operands))
-    return out
-
-
 def _objective(x, problem: _BoundProblem, shapes, weight, rsq_target):
     """Penalized squared distance and its gradient in factor parameters."""
     factors = _unpack(x, shapes)
     psd = [f.conj().T @ f for f in factors]
-    qmat = _kron_all(psd)
-    value, grad_q = problem.delta_sq_grad(qmat)
+    value, grads = problem.delta_sq_grad(psd)
     if weight:
-        rsq, grad_r = problem.rsq_grad(qmat)
+        rsq, radial = _radius_sq_grad(psd)
         gap = rsq - rsq_target
         value = value + weight * gap * gap
-        grad_q = grad_q + (2.0 * weight * gap) * grad_r
-    per_party = _factor_gradients(grad_q, psd)
-    pieces = []
-    for f, c in zip(factors, per_party):
-        w = f @ c
-        pieces.append(np.concatenate([2.0 * w.real.ravel(), 2.0 * w.imag.ravel()]))
-    return value, np.concatenate(pieces)
+        grads = [g + (2.0 * weight * gap) * r for g, r in zip(grads, radial)]
+    # dA = dL^dag L + L^dag dL, so the gradient in L is 2 L G.
+    return value, _pack([2.0 * f @ g for f, g in zip(factors, grads)])
 
 
 def _rescale_factors(factors):
@@ -482,7 +481,7 @@ def _restart(problem: _BoundProblem, r_target: float,
         psd = _project_to_radius(psd, r_target)
         if psd is None:
             return None, converged
-    return problem.delta_dense(_kron_all(psd)), converged
+    return problem.delta(psd), converged
 
 
 @dataclass

@@ -22,9 +22,35 @@ from nlwe.bound import (
     segment_distance_inequality,
     zonotope_distance,
 )
-from nlwe.families import StateSet, bell_states, tiles, two_qubit_demo
+from nlwe.families import (
+    StateSet,
+    bell_states,
+    gentiles1,
+    halder_states,
+    tiles,
+    two_qubit_demo,
+)
 
 FAST_OPTS = OptimizerOptions(r_steps=5, restarts=8, refine_levels=1)
+
+
+def phased_bell():
+    """Bell basis with a complex global phase on member 0."""
+    s = bell_states()
+    return StateSet(
+        s.dims,
+        [(np.exp(0.7j) * s.global_state(0),)] + [s.states[m]
+                                                 for m in range(1, 4)],
+        s.priors,
+    )
+
+
+def halder_full():
+    return halder_states("full")
+
+
+def gentiles1_4():
+    return gentiles1(4)
 
 
 def random_product_operator(dims, rng, sigma=0.5):
@@ -244,17 +270,32 @@ class TestSegmentInequality:
             segment_distance_inequality(qp, qs, 0.5, s)
 
 
+# (state set, rank-one (1, d) factors) per gradient input.
+GRADIENT_INPUTS = {
+    "phased-bell": (phased_bell, False),
+    "tiles": (tiles, False),
+    "halder-full": (halder_full, False),
+    "phased-bell-rank-one": (phased_bell, True),
+}
+
+
 class TestGradient:
-    @pytest.mark.parametrize("weight,target", [(0.0, 0.0), (3.0, 0.2)])
-    def test_matches_finite_differences(self, rng, weight, target):
-        s = two_qubit_demo()
+    @pytest.mark.parametrize("weight,target,case", [
+        pytest.param(0.0, 0.0, None, id="0.0-0.0"),
+        pytest.param(3.0, 0.2, None, id="3.0-0.2"),
+        *(pytest.param(w, t, case, id=f"{case}-{w}-{t}")
+          for case in GRADIENT_INPUTS for w, t in [(0.0, 0.0), (3.0, 0.2)]),
+    ])
+    def test_matches_finite_differences(self, rng, weight, target, case):
+        build, rank_one = GRADIENT_INPUTS.get(case, (two_qubit_demo, False))
+        s = build()
         problem = _BoundProblem(s)
-        shapes = [(d, d) for d in s.dims]
+        shapes = [(1, d) if rank_one else (d, d) for d in s.dims]
         for _ in range(10):
             factors = [
-                np.eye(d) + 0.3 * (rng.normal(size=(d, d))
-                                   + 1j * rng.normal(size=(d, d)))
-                for d in s.dims
+                np.eye(*shape) + 0.3 * (rng.normal(size=shape)
+                                        + 1j * rng.normal(size=shape))
+                for shape in shapes
             ]
             x = _pack(factors)
             _, grad = _objective(x, problem, shapes, weight, target)
@@ -289,7 +330,6 @@ def sampled_min_distance(s, radius, n_samples, rng, chunk=5000):
     dims = s.dims
     total = int(np.prod(dims))
     eye = np.eye(total)
-    problem = _BoundProblem(s)
     best = np.inf
     done = 0
     while done < n_samples:
@@ -340,7 +380,7 @@ def sampled_min_distance(s, radius, n_samples, rng, chunk=5000):
             lo = np.where(above, lo, mid)
         q = assemble(0.5 * (lo + hi))
         for i in range(k):
-            best = min(best, problem.delta_dense(q[i]))
+            best = min(best, zonotope_distance(q[i], s))
     return best
 
 
@@ -400,6 +440,35 @@ class TestMinDistanceAtRadius:
         assert optimum <= baseline + 1e-6
 
 
+class TestMemberBasis:
+    @pytest.mark.parametrize("build", [phased_bell, tiles, halder_full,
+                                       gentiles1_4])
+    def test_delta_matches_dense_distance(self, rng, build):
+        s = build()
+        problem = _BoundProblem(s)
+        for _ in range(5):
+            q = random_product_operator(s.dims, rng)
+            dense = zonotope_distance(q.matrix(), s)
+            assert abs(problem.delta(q.psd_factors()) - dense) <= 1e-12
+
+    def test_bound_forms_no_dense_kron(self, monkeypatch):
+        sets = [tiles(), bell_states()]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense kron formed")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        for s in sets:
+            assert 0.0 <= error_lower_bound(s, FAST_OPTS).p_err_lower <= 0.5
+
+    def test_more_than_six_parties(self):
+        s = StateSet((2,) * 7, [([1, 0],) * 7, ([0, 1],) * 7])
+        opts = OptimizerOptions(r_steps=3, restarts=2, refine_levels=0)
+        res = error_lower_bound(s, opts)
+        assert len(res.r_grid) == 3
+        assert res.p_err_lower <= 1e-3
+
+
 class TestErrorLowerBound:
     def test_demo_bound_vanishes(self):
         res = error_lower_bound(two_qubit_demo(), FAST_OPTS)
@@ -453,6 +522,8 @@ class TestOptimizerOptions:
         ("penalty_stages", 0), ("max_iters", 0), ("tol", 0.0),
         ("penalty_base", 0.0), ("refine_levels", -1), ("refine_points", 0),
         ("sigma_min", -0.1), ("sigma_min", 2.0),
+        ("tol", math.inf), ("penalty_base", math.inf), ("sigma_max", math.inf),
+        ("tol", math.nan), ("penalty_base", math.nan), ("sigma_max", math.nan),
     ])
     def test_rejects_invalid(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -191,6 +191,14 @@ class TestBound:
         assert out == ""
         assert field in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_rejected(self, capsys, tol):
+        code, out, err = run(capsys, "bound", "two-qubit-demo", "--r-steps",
+                             "2", "--restarts", "1", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
     def test_report_embeds_provenance(self, capsys):
         code, out, _ = run(capsys, *self.ARGS)
         report = json.loads(out)
