@@ -29,7 +29,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 
 class EnumerationBudgetExceeded(RuntimeError):
-    """Raised when a partition search would exceed its assignment budget."""
+    """Raised when a search visits more nodes than its budget allows."""
 
 
 def _require_product(s: StateSet, what: str):
@@ -101,6 +101,14 @@ def exclusive_pairs(s: StateSet, party: int,
     return [(int(i), int(j)) for i, j in np.argwhere(mask)]
 
 
+def _distinct_kets(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exactly distinct rows of ``v`` by first occurrence, and each row's id."""
+    _, first, inverse = np.unique(v, axis=0, return_index=True,
+                                  return_inverse=True)
+    reps = np.sort(first)
+    return v[reps], np.searchsorted(reps, first[inverse.reshape(-1)])
+
+
 def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
     """Rank of the local dyads |psi_i><psi_j| over the given index pairs.
 
@@ -118,7 +126,7 @@ def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
         i, j = idx[np.argmax(bad)]
         raise ValueError(f"invalid index pair ({i}, {j})")
     v = s.local_matrix(party)
-    ket_id = np.unique(v, axis=0, return_inverse=True)[1].reshape(-1)
+    ket_id = _distinct_kets(v)[1]
     pair_id = ket_id[idx[:, 0]] * len(v) + ket_id[idx[:, 1]]
     idx = idx[np.sort(np.unique(pair_id, return_index=True)[1])]
     return numerical_rank(dyad(v[idx[:, 0]], v[idx[:, 1]]))
@@ -192,57 +200,128 @@ class ExtendibilityResult:
     witness_ranks: tuple[int, ...] | None
 
 
+# Complex entries per stacked array (32 MB): closures in the flat search,
+# member masks in the partition search and d-subsets in the minimality
+# check are computed in blocks of at most this size.
+_STACK_ENTRIES = 1 << 21
+
+
+def _hyperplanes(kets: np.ndarray, tick) -> np.ndarray:
+    """Every flat of rank d - 1 of the unit rows of ``kets``, as (F, K) masks.
+
+    Each flat is generated once, from its greedy basis: a basis
+    b_1 < ... < b_r grows only by a row j > b_r outside its closure, and the
+    growth is dropped when the new closure takes in a row below j. Flats
+    therefore come in lexicographic order of their rows. A row lies in the
+    closure when its residual against the basis is at most
+    ``DEFAULT_RANK_TOL``. ``tick(m)`` is told of each block of m growths
+    before their closures are computed.
+    """
+    k, d = kets.shape
+    step = max(1, _STACK_ENTRIES // (k * d))
+    # With d = 1 the one flat of rank 0 is the closure of nothing.
+    flats = [np.zeros((1 if d == 1 else 0, k), dtype=bool)]
+
+    def grow(basis, closed, dist, last):
+        # basis: orthonormal rows spanning the flat ``closed``; dist: each
+        # row's residual norm against it
+        resid = kets - (kets @ basis.conj().T) @ basis
+        cand = last + 1 + (~closed[last + 1:]).nonzero()[0]
+        for start in range(0, len(cand), step):
+            js = cand[start:start + step]
+            tick(len(js))
+            u = resid[js] / dist[js, None]
+            dists = np.linalg.norm(
+                resid - (u.conj() @ resid.T)[:, :, None] * u[:, None, :],
+                axis=2)
+            now = closed | (dists <= DEFAULT_RANK_TOL)
+            early = (now & ~closed) & (np.arange(k) < js[:, None])
+            keep = (~early.any(axis=1)).nonzero()[0]
+            if len(basis) + 1 == d - 1:
+                flats.append(now[keep])
+                continue
+            for c in keep:
+                grow(np.vstack([basis, u[c]]), now[c], dists[c], js[c])
+
+    if d > 1:
+        grow(np.zeros((0, d), dtype=complex), np.zeros(k, dtype=bool),
+             np.linalg.norm(kets, axis=1), -1)
+    return np.concatenate(flats)
+
+
 def upb_extendibility(s: StateSet,
                       budget: int = 10_000_000) -> ExtendibilityResult:
-    """Decide extendibility by searching state-to-party assignments.
+    """Decide extendibility by a search over hyperplane flats of local kets.
 
-    The set can be extended by another orthogonal product state iff some
-    assignment of the states to the parties leaves every party's local span
-    strictly below its full dimension; the witness assignment is returned
-    when one exists. The search is exact, pruning any branch on which some
-    party's local rank already saturates.
+    The set can be extended by another orthogonal product state iff its
+    members can be split among the parties so that no party's local kets
+    span its space; the witness split is returned when one exists. A short
+    group lies inside some flat of rank d_a - 1 of party a's distinct kets,
+    and enlarging it only shrinks what the other parties must hold. So the
+    search gives party a every member whose ket lies in one such flat and
+    recurses on the rest with party a + 1; the last party must be short on
+    what is left. Flats come in lexicographic order of their members.
+
+    Every flat-generation step and every partition node counts against
+    ``budget``; the search raises ``EnumerationBudgetExceeded`` once the
+    count passes it. ``budget`` must be a positive int.
     """
+    if (isinstance(budget, bool) or not isinstance(budget, (int, np.integer))
+            or budget < 1):
+        raise ValueError(f"budget must be a positive int, got {budget!r}")
     _require_product(s, "extendibility")
     parties, n = s.parties, s.n_states
-    if parties ** n > budget:
-        raise EnumerationBudgetExceeded(
-            f"{parties}^{n} assignments exceed the budget of {budget}"
-        )
-    assignment = [-1] * n
-    bases: list[list[np.ndarray]] = [[] for _ in range(parties)]
+    local = [s.local_matrix(alpha) for alpha in range(parties)]
+    # Party -1 is a root that keeps nothing, so party 0 is checked like the
+    # others; the flats of a real party are generated when first needed.
+    flats = {-1: np.zeros((1, n), dtype=bool)}
+    visited = 0
 
-    def search(m: int):
-        if m == n:
-            return tuple(
-                tuple(i for i in range(n) if assignment[i] == alpha)
-                for alpha in range(parties)
+    def tick(nodes):
+        nonlocal visited
+        visited += nodes
+        if visited > budget:
+            raise EnumerationBudgetExceeded(
+                f"UPB search reached {visited} nodes, past its budget of "
+                f"{budget}"
             )
-        for alpha in range(parties):
-            v = s.local_state(m, alpha)
-            resid = v.copy()
-            for b in bases[alpha]:
-                resid = resid - np.vdot(b, resid) * b
-            grows = np.linalg.norm(resid) > DEFAULT_RANK_TOL
-            if grows and len(bases[alpha]) + 1 >= s.dims[alpha]:
-                continue  # this party would saturate its local space
-            assignment[m] = alpha
-            if grows:
-                bases[alpha].append(resid / np.linalg.norm(resid))
-            found = search(m + 1)
-            if grows:
-                bases[alpha].pop()
-            assignment[m] = -1
-            if found is not None:
-                return found
+
+    def short(alpha, masks):
+        """Whether party alpha's unit kets over each member mask fail to
+        span, by an absolute cutoff on their singular values."""
+        svals = np.linalg.svd(local[alpha] * masks[..., None],
+                              compute_uv=False)
+        return (np.count_nonzero(svals > DEFAULT_RANK_TOL, axis=-1)
+                < s.dims[alpha])
+
+    def search(members, alpha):
+        # Party alpha's kets over ``members`` span its space.
+        if alpha not in flats:
+            kets, ket_id = _distinct_kets(local[alpha])
+            flats[alpha] = _hyperplanes(kets, tick)[:, ket_id]
+        nothing = [np.zeros(n, dtype=bool)] * (parties - alpha - 2)
+        step = max(1, _STACK_ENTRIES // (n * s.dims[alpha + 1]))
+        for start in range(0, len(flats[alpha]), step):
+            block = flats[alpha][start:start + step]
+            take, rest = block & members, ~block & members
+            tick(len(rest))
+            done = short(alpha + 1, rest)
+            for i in range(len(rest)):
+                if done[i]:
+                    return [take[i], rest[i], *nothing]
+                if alpha + 2 < parties:
+                    found = search(rest[i], alpha + 1)
+                    if found is not None:
+                        return [take[i], *found]
         return None
 
-    witness = search(0)
-    if witness is None:
+    found = search(np.ones(n, dtype=bool), -1)
+    if found is None:
         return ExtendibilityResult(False, None, None)
-    ranks = tuple(
-        numerical_rank([s.local_state(m, alpha) for m in group])
-        for alpha, group in enumerate(witness)
-    )
+    witness = tuple(tuple(int(m) for m in np.flatnonzero(group))
+                    for group in found[1:])
+    ranks = tuple(numerical_rank(local[alpha][list(group)])
+                  for alpha, group in enumerate(witness))
     return ExtendibilityResult(True, witness, ranks)
 
 
@@ -264,8 +343,13 @@ def minimal_upb_check(s: StateSet) -> bool:
         return False
     for alpha, d in enumerate(s.dims):
         v = s.local_matrix(alpha)
-        for subset in itertools.combinations(range(n), d):
-            if numerical_rank(v[list(subset)]) < d:
+        subsets = itertools.combinations(range(n), d)
+        # One stacked SVD per block of subsets, each ranked against its own
+        # largest singular value as in ``numerical_rank``.
+        step = max(1, _STACK_ENTRIES // (d * d))
+        while block := list(itertools.islice(subsets, step)):
+            svals = np.linalg.svd(v[np.array(block)], compute_uv=False)
+            if (svals[:, -1] <= DEFAULT_RANK_TOL * svals[:, 0]).any():
                 return False
     return True
 
@@ -331,7 +415,10 @@ class UpbReport:
 
 
 def upb_report(s: StateSet, budget: int = 10_000_000) -> UpbReport:
-    """Run the full unextendible-product-basis analysis on a set."""
+    """Run the full unextendible-product-basis analysis on a set.
+
+    ``budget`` is the node budget of :func:`upb_extendibility`.
+    """
     ext = upb_extendibility(s, budget)
     minimal = minimal_upb_check(s)
     count_ok = all(s.n_states >= 2 * (d - 1) + 1 for d in s.dims)

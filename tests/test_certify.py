@@ -49,6 +49,66 @@ def full_stack_rank(s, party, pairs):
     return numerical_rank(dyad(v[idx[:, 0]], v[idx[:, 1]]))
 
 
+DIMS_CHOICES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]
+
+
+def random_product_set(rng):
+    """Product set drawn from a small pool of local kets per party.
+
+    Pools mix random kets with basis vectors and sums of two, so members
+    repeat kets exactly; a member may also carry a phase multiple of its
+    pool ket. Orthogonality is not required, so validation is off.
+    """
+    dims = DIMS_CHOICES[rng.integers(len(DIMS_CHOICES))]
+    n = int(rng.integers(sum(dims), 11))
+    pools = []
+    for d in dims:
+        e = np.eye(d)
+        pool = [rng.normal(size=d) + 1j * rng.normal(size=d)
+                for _ in range(2)]
+        pool += [e[0] + e[d - 1]] + [e[i] for i in range(d)]
+        pools.append(pool)
+    entries = []
+    for _ in range(n):
+        kets = []
+        for pool in pools:
+            ket = pool[rng.integers(len(pool))]
+            if rng.random() < 0.3:
+                ket = np.exp(2j * np.pi * rng.random()) * ket
+            kets.append(ket)
+        entries.append(tuple(kets))
+    return StateSet(dims, entries, validate=False)
+
+
+def brute_force_extendible(s):
+    """Whether some assignment of members to parties leaves each party short.
+
+    Enumerates every one of parties^n assignments against a table of which
+    member subsets leave each party's kets short of spanning.
+    """
+    n, parties = s.n_states, s.parties
+    assert parties ** n <= 10 ** 5
+    short = np.array([[
+        numerical_rank(s.local_matrix(alpha)[[m for m in range(n)
+                                               if mask >> m & 1]]) < d
+        for mask in range(2 ** n)] for alpha, d in enumerate(s.dims)])
+    labels = np.array(list(np.ndindex(*([parties] * n))))
+    bits = 1 << np.arange(n)
+    masks = [(labels == alpha) @ bits for alpha in range(parties)]
+    return bool(np.logical_and.reduce(
+        [short[alpha][masks[alpha]] for alpha in range(parties)]).any())
+
+
+def assert_witness(s, result):
+    """The witness partitions the members and leaves every party short."""
+    groups = result.witness
+    assert len(groups) == s.parties
+    assert sorted(m for g in groups for m in g) == list(range(s.n_states))
+    for alpha, (group, d) in enumerate(zip(groups, s.dims)):
+        rank = numerical_rank(s.local_matrix(alpha)[list(group)])
+        assert rank == result.witness_ranks[alpha] < d
+
+
 class TestExclusivePairs:
     def test_demo_second_party(self):
         s = two_qubit_demo()
@@ -245,6 +305,67 @@ class TestExtendibility:
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetExceeded):
             upb_extendibility(halder_states("full"), budget=100)
+
+    def test_budget_counts_nodes_visited(self):
+        with pytest.raises(EnumerationBudgetExceeded,
+                           match=r"reached \d+ nodes, past its budget of 1000"):
+            upb_extendibility(gentiles1(6), budget=1000)
+
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, True, float("nan")])
+    @pytest.mark.parametrize("analysis", [upb_extendibility, upb_report])
+    def test_budget_must_be_positive_int(self, analysis, budget):
+        with pytest.raises(ValueError, match="budget"):
+            analysis(halder_states("full"), budget=budget)
+
+    def test_gentiles1_6_unextendible(self, rng):
+        base = gentiles1(6)
+        scrambled = apply_local_unitaries(
+            base, [haar_unitary(6, rng) for _ in range(2)])
+        for s in (base, scrambled):
+            result = upb_extendibility(s)
+            assert not result.extendible
+            assert result.witness is None
+
+    def test_gentiles1_6_minus_member_extendible(self):
+        base = gentiles1(6)
+        s = StateSet(base.dims, base.states[1:])
+        result = upb_extendibility(s)
+        assert result.extendible
+        assert_witness(s, result)
+
+    def test_halder_full_unextendible(self):
+        assert not upb_extendibility(halder_states("full")).extendible
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_agrees_with_every_assignment(self, case):
+        s = random_product_set(np.random.default_rng([7, case]))
+        result = upb_extendibility(s)
+        assert result.extendible == brute_force_extendible(s)
+        if result.extendible:
+            assert_witness(s, result)
+
+    def test_party_of_dimension_one(self):
+        # A one-dimensional party is spanned by any member, so it can only
+        # be given nothing.
+        e, one = np.eye(2), np.ones(1)
+        sets = [
+            StateSet((1, 2), [(one, e[0]), (one, e[1])], validate=False),
+            StateSet((1, 2), [(one, e[0]), (1j * one, e[0])], validate=False),
+            StateSet((2, 1, 2), [(e[0], one, e[0]), (e[1], one, e[1])],
+                     validate=False),
+        ]
+        results = [upb_extendibility(s) for s in sets]
+        assert [r.extendible for r in results] == [False, True, True]
+        assert [r.witness for r in results] == [None, ((), (0, 1)),
+                                                ((0,), (), (1,))]
+        for s, r in zip(sets, results):
+            assert r.extendible == brute_force_extendible(s)
+
+    def test_random_sets_cover_both_verdicts(self):
+        sets = [random_product_set(np.random.default_rng([7, case]))
+                for case in range(30)]
+        seen = {(s.parties, brute_force_extendible(s)) for s in sets}
+        assert seen == {(2, False), (2, True), (3, False), (3, True)}
 
 
 class TestMinimalUpb:
