@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -251,12 +251,7 @@ class BoundResult:
     diagnostics: dict
 
     def to_dict(self) -> dict:
-        return {
-            "r_grid": list(self.r_grid),
-            "delta_r": list(self.delta_r),
-            "p_err_lower": self.p_err_lower,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 def _residual(p: np.ndarray):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class PartyRecord:
     """Per-party outcome: the exclusive pairs, their dyad span, the target."""
 
     party: int
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
     span_rank: int
     required: int
 
@@ -82,12 +82,13 @@ def check_pair_tol(tol: float) -> None:
 
 
 def exclusive_pairs(s: StateSet, party: int,
-                    tol: float = DEFAULT_PAIR_TOL) -> list[tuple[int, int]]:
+                    tol: float = DEFAULT_PAIR_TOL) -> np.ndarray:
     """Ordered state pairs orthogonal on ``party`` and nowhere else.
 
-    Returns all (i, j) with i != j whose local overlap on ``party`` is at
-    most ``tol`` in magnitude while every other party's overlap exceeds it.
-    The result is symmetric under swapping i and j.
+    Returns a (P, 2) integer array of every (i, j) with i != j whose local
+    overlap on ``party`` is at most ``tol`` in magnitude while every other
+    party's overlap exceeds it, in row-major order of (i, j). The rows are
+    symmetric under swapping i and j.
     """
     _require_product(s, "pair extraction")
     if not 0 <= party < s.parties:
@@ -98,7 +99,7 @@ def exclusive_pairs(s: StateSet, party: int,
         v = s.local_matrix(beta)
         overlap = np.abs(v.conj() @ v.T)
         mask &= (overlap <= tol) if beta == party else (overlap > tol)
-    return [(int(i), int(j)) for i, j in np.argwhere(mask)]
+    return np.argwhere(mask)
 
 
 def _distinct_kets(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,9 +113,9 @@ def _distinct_kets(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
     """Rank of the local dyads |psi_i><psi_j| over the given index pairs.
 
-    Pairs whose two local kets repeat an earlier pair's kets exactly give a
-    bit-identical dyad, so only the first pair per distinct (ket, ket) is
-    ranked; tile constructions reuse each local ket across many members.
+    Pairs with exactly the same two local kets give a bit-identical dyad,
+    so one dyad per distinct (ket, ket) is ranked; tile constructions reuse
+    each local ket across many members.
     """
     _require_product(s, "dyad ranking")
     if not 0 <= party < s.parties:
@@ -125,11 +126,10 @@ def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
     if bad.any():
         i, j = idx[np.argmax(bad)]
         raise ValueError(f"invalid index pair ({i}, {j})")
-    v = s.local_matrix(party)
-    ket_id = _distinct_kets(v)[1]
-    pair_id = ket_id[idx[:, 0]] * len(v) + ket_id[idx[:, 1]]
-    idx = idx[np.sort(np.unique(pair_id, return_index=True)[1])]
-    return numerical_rank(dyad(v[idx[:, 0]], v[idx[:, 1]]))
+    kets, ket_id = _distinct_kets(s.local_matrix(party))
+    k = len(kets)
+    ids = np.unique(ket_id[idx[:, 0]] * k + ket_id[idx[:, 1]])
+    return numerical_rank(dyad(kets[ids // k], kets[ids % k]))
 
 
 def certify(s: StateSet, tol: float = DEFAULT_PAIR_TOL) -> DyadCertificate:
@@ -140,7 +140,7 @@ def certify(s: StateSet, tol: float = DEFAULT_PAIR_TOL) -> DyadCertificate:
     """
     records = []
     for party in range(s.parties):
-        pairs = tuple(exclusive_pairs(s, party, tol))
+        pairs = exclusive_pairs(s, party, tol)
         rank = dyad_span_rank(s, party, pairs)
         records.append(PartyRecord(party, pairs, rank, s.dims[party] ** 2 - 1))
     verdict = (CERTIFIED_INDISCRIMINABLE
@@ -398,20 +398,7 @@ class UpbReport:
     min_states: int
 
     def to_dict(self) -> dict:
-        return {
-            "is_unextendible": self.is_unextendible,
-            "witness_partition": (
-                None if self.witness_partition is None
-                else [list(g) for g in self.witness_partition]
-            ),
-            "local_ranks": (
-                None if self.local_ranks is None else list(self.local_ranks)
-            ),
-            "is_minimal": self.is_minimal,
-            "count_condition_met": self.count_condition_met,
-            "verdict": self.verdict,
-            "min_states": self.min_states,
-        }
+        return asdict(self)
 
 
 def upb_report(s: StateSet, budget: int = 10_000_000) -> UpbReport:
@@ -419,6 +406,7 @@ def upb_report(s: StateSet, budget: int = 10_000_000) -> UpbReport:
 
     ``budget`` is the node budget of :func:`upb_extendibility`.
     """
+    min_states = min_states_bound(s.dims)
     ext = upb_extendibility(s, budget)
     minimal = minimal_upb_check(s)
     count_ok = all(s.n_states >= 2 * (d - 1) + 1 for d in s.dims)
@@ -429,5 +417,5 @@ def upb_report(s: StateSet, budget: int = 10_000_000) -> UpbReport:
         is_minimal=minimal,
         count_condition_met=count_ok,
         verdict=certify_minimal_upb(s),
-        min_states=min_states_bound(s.dims),
+        min_states=min_states,
     )

@@ -29,7 +29,7 @@ class StateSet:
 
     Kets are normalized on construction, so families may be written down with
     whatever scale factors are convenient. Validation checks that priors are
-    positive and sum to one, and that all global states are pairwise
+    finite, positive and sum to one, and that all global states are pairwise
     orthogonal; pass ``validate=False`` only for deliberately non-orthogonal
     test inputs.
     """
@@ -68,8 +68,8 @@ class StateSet:
         priors = np.asarray(priors, dtype=float).reshape(-1)
         if priors.size != n:
             raise ValueError(f"expected {n} priors, got {priors.size}")
-        if np.any(priors <= 0):
-            raise ValueError("priors must be positive")
+        if not np.all(np.isfinite(priors) & (priors > 0)):
+            raise ValueError("priors must be finite and positive")
         if abs(priors.sum() - 1.0) > PRIOR_SUM_TOL:
             raise ValueError(f"priors sum to {priors.sum()!r}, expected 1")
         priors.setflags(write=False)

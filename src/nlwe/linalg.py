@@ -7,6 +7,7 @@ convention.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Sequence
 
@@ -79,21 +80,15 @@ def frobenius_norm(m) -> float:
 def numerical_rank(mats, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     """Dimension of the span of the given matrices (or vectors).
 
-    Inputs come as a sequence or stacked along the first axis of one array.
-    Each is flattened into one row; the rank is the number of singular
-    values exceeding ``tol_rel`` times the largest one. Empty input: rank 0.
+    Inputs are stacked along the first axis of one array, or given as a
+    sequence of same-shape arrays; ragged input raises ``ValueError``. Each
+    is flattened into one row; the rank is the number of singular values
+    exceeding ``tol_rel`` times the largest one. Empty input: rank 0.
     """
-    if tol_rel <= 0:
-        raise ValueError("tol_rel must be positive")
-    if not isinstance(mats, np.ndarray):
-        rows = [np.asarray(m, dtype=complex).reshape(-1) for m in mats]
-        if any(r.size != rows[0].size for r in rows):
-            raise ValueError("all inputs must have the same dimension")
-        mats = np.array(rows, dtype=complex)
+    if not (math.isfinite(tol_rel) and tol_rel > 0):
+        raise ValueError(f"tol_rel must be finite and positive, got {tol_rel}")
     if len(mats) == 0:
         return 0
     stack = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
     svals = np.linalg.svd(stack, compute_uv=False)
-    if svals[0] == 0.0:
-        return 0
     return int(np.count_nonzero(svals > tol_rel * svals[0]))

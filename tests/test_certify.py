@@ -6,6 +6,7 @@ import pytest
 
 from nlwe.certify import (
     CERTIFIED_INDISCRIMINABLE,
+    DEFAULT_PAIR_TOL,
     INCONCLUSIVE,
     EnumerationBudgetExceeded,
     certify,
@@ -112,23 +113,49 @@ def assert_witness(s, result):
 class TestExclusivePairs:
     def test_demo_second_party(self):
         s = two_qubit_demo()
-        assert sorted(exclusive_pairs(s, 1)) == [(0, 1), (1, 0), (2, 3), (3, 2)]
+        assert sorted(exclusive_pairs(s, 1).tolist()) == [
+            [0, 1], [1, 0], [2, 3], [3, 2],
+        ]
 
     def test_demo_first_party(self):
         s = two_qubit_demo()
-        assert sorted(exclusive_pairs(s, 0)) == [
+        assert sorted(map(tuple, exclusive_pairs(s, 0))) == [
             (0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1),
         ]
 
     def test_single_state(self):
         s = StateSet((2, 2), [([1, 0], [1, 0])])
-        assert exclusive_pairs(s, 0) == []
+        assert exclusive_pairs(s, 0).tolist() == []
 
     def test_symmetric(self):
         s = tiles()
         for party in (0, 1):
-            pairs = set(exclusive_pairs(s, party))
+            pairs = set(map(tuple, exclusive_pairs(s, party)))
             assert {(j, i) for i, j in pairs} == pairs
+
+    def test_index_array_is_record_pairs(self, monkeypatch):
+        # One (P, 2) integer array, in np.argwhere order of the pair mask,
+        # from exclusive_pairs through to the certificate's records.
+        s = tiles()
+        module = importlib.import_module("nlwe.certify")
+        returned = []
+
+        def recording_pairs(*args):
+            returned.append(exclusive_pairs(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(module, "exclusive_pairs", recording_pairs)
+        cert = certify(s)
+        overlaps = [np.abs(v.conj() @ v.T)
+                    for v in map(s.local_matrix, range(s.parties))]
+        for party, pairs in enumerate(returned):
+            mask = ~np.eye(s.n_states, dtype=bool)
+            for beta, overlap in enumerate(overlaps):
+                mask &= ((overlap <= DEFAULT_PAIR_TOL) if beta == party
+                         else (overlap > DEFAULT_PAIR_TOL))
+            assert pairs.dtype.kind == "i" and pairs.shape == (10, 2)
+            assert np.array_equal(pairs, np.argwhere(mask))
+            assert cert.records[party].pairs is pairs
 
     def test_bad_party(self):
         with pytest.raises(ValueError):
@@ -194,7 +221,7 @@ class TestDyadSpanRank:
         s = tiles()
         for party in (0, 1):
             pairs = exclusive_pairs(s, party)
-            assert (dyad_span_rank(s, party, pairs + pairs)
+            assert (dyad_span_rank(s, party, np.concatenate([pairs, pairs]))
                     == dyad_span_rank(s, party, pairs))
 
     def test_no_pairs(self):
@@ -466,7 +493,7 @@ class TestInvariance:
                 assert rotated.verdict == reference.verdict
                 for a, b in zip(rotated.records, reference.records):
                     assert a.span_rank == b.span_rank
-                    assert sorted(a.pairs) == sorted(b.pairs)
+                    assert sorted(a.pairs.tolist()) == sorted(b.pairs.tolist())
 
     def test_state_permutation_invariance(self, rng):
         for base in (two_qubit_demo(), tiles()):

@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,49 @@ from nlwe.cli import build_parser, main
 from nlwe.families import StateSet, load, save
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# Written by hand, since no StateSet with these priors can be built. NaN
+# passes both the positivity and the sum check unless priors must be finite.
+NAN_PRIORS = (
+    '{"version": 1, "dims": [2], "priors": [NaN, 0.5], "states": '
+    '[[[[1.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [1.0, 0.0]]]]}\n'
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Reports holding only integers, booleans and strings, so their bytes do not
+# depend on the BLAS build. A refactor must leave each one unchanged; after an
+# intended report change, regenerate one with
+# ``PYTHONPATH=src python -m nlwe <argv> > tests/golden/<name>.json``.
+@pytest.mark.parametrize("name,argv", [
+    ("certify_tiles", ["certify", "tiles"]),
+    ("certify_gentiles1_n8", ["certify", "gentiles1", "--n", "8"]),
+    ("certify_halder-full_all-bipartite",
+     ["certify", "halder-full", "--cut", "all-bipartite"]),
+    ("upb_tiles", ["upb", "tiles"]),
+    ("upb_halder-full", ["upb", "halder-full"]),
+    ("upb_gentiles1_n4", ["upb", "gentiles1", "--n", "4"]),
+])
+def test_golden_report(capsys, name, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["certify", "upb", "bound"])
+def test_nan_priors_file_rejected(tmp_path, capsys, command):
+    path = tmp_path / "nan.json"
+    path.write_text(NAN_PRIORS, encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert "priors must be finite and positive" in err
 
 
 class TestGenerate:
@@ -138,6 +179,23 @@ class TestUpb:
         code, _, err = run(capsys, "upb", "tiles")
         assert code == 3
         assert "too big" in err
+
+    def test_trivial_dimension_rejected_before_search(self, tmp_path, capsys,
+                                                       monkeypatch):
+        e = np.eye(3)
+        path = tmp_path / "trivial.json"
+        save(StateSet((1, 3), [([1], e[i]) for i in range(3)]), path)
+
+        def explode(*args, **kwargs):
+            raise AssertionError("search ran")
+
+        # The package exports the function ``certify`` under the module's name.
+        module = importlib.import_module("nlwe.certify")
+        monkeypatch.setattr(module, "upb_extendibility", explode)
+        code, out, err = run(capsys, "upb", str(path))
+        assert code == 2
+        assert out == ""
+        assert "every local dimension must be at least 2" in err
 
     def test_budget_exceeded_on_large_set(self, capsys):
         # 27 members on three parties: the flat search stays far inside the

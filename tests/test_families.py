@@ -69,6 +69,10 @@ class TestStateSet:
             StateSet((2,), [(e[0],), (e[1],)], priors=[0.6, 0.6])
         with pytest.raises(ValueError, match="positive"):
             StateSet((2,), [(e[0],), (e[1],)], priors=[1.2, -0.2])
+        # NaN passes both "<= 0" and the sum check unless finiteness is checked.
+        with pytest.raises(ValueError, match="priors must be finite and "
+                                             "positive"):
+            StateSet((2,), [(e[0],), (e[1],)], priors=[math.nan, 0.5])
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="local dimensions"):

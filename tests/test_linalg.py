@@ -152,8 +152,9 @@ class TestNumericalRank:
             numerical_rank([np.eye(2), np.eye(3)])
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            numerical_rank([np.eye(2)], tol_rel=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                numerical_rank([np.eye(2)], tol_rel=tol)
 
     def test_zero_inputs(self):
         assert numerical_rank([np.zeros((2, 2))]) == 0
