@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .families import StateSet
 
@@ -392,6 +391,10 @@ def _project_to_radius(psd, r_target: float):
     operator. Returns the local parts, or None when the radius is out of
     reach along this curve.
     """
+    # Imported here, not at module level: scipy.optimize takes longer to
+    # import than the rest of the package, and certify never needs it.
+    import scipy.optimize as sciopt
+
     dims = [a.shape[0] for a in psd]
     centers = [a.trace().real / d for a, d in zip(psd, dims)]
     if any(c <= 0 for c in centers):
@@ -431,6 +434,8 @@ def _restart(problem: _BoundProblem, r_target: float,
     the radius. Each (seed key, restart) pair has its own seed stream, so a
     restart returns the same value whatever else runs before it.
     """
+    import scipy.optimize as sciopt
+
     if r_target < 1e-14:
         # Only multiples of the identity sit at radius zero.
         return 0.0, True

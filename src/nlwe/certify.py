@@ -116,6 +116,15 @@ def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
     Pairs with exactly the same two local kets give a bit-identical dyad,
     so one dyad per distinct (ket, ket) is ranked; tile constructions reuse
     each local ket across many members.
+
+    Prefixes P of d^2, 2 d^2, ... rows, in a fixed pseudo-random order and
+    at most a quarter of the stack, are ranked until one settles the whole
+    stack S, which is ranked itself only when none does; prefixes that
+    settle nothing add under half of S's rows. With tol = ``DEFAULT_RANK_TOL``,
+    sigma_k(S) >= sigma_k(P) and sigma_1(S) <= F = ||S||_F give
+    rank >= #{sigma_k(P) > tol F}; sigma_{d^2}(S) <= tau, the norm of S's
+    identity component, gives rank <= d^2 - 1 when tau <= tol sigma_1(P).
+    P settles S when the two bounds meet.
     """
     _require_product(s, "dyad ranking")
     if not 0 <= party < s.parties:
@@ -129,7 +138,38 @@ def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
     kets, ket_id = _distinct_kets(s.local_matrix(party))
     k = len(kets)
     ids = np.unique(ket_id[idx[:, 0]] * k + ket_id[idx[:, 1]])
-    return numerical_rank(dyad(kets[ids // k], kets[ids % k]))
+    rank = _prefix_rank(kets, ids)
+    if rank is None:
+        rank = numerical_rank(dyad(kets[ids // k], kets[ids % k]))
+    return rank
+
+
+def _prefix_rank(kets: np.ndarray, ids: np.ndarray) -> int | None:
+    """Rank of the dyad stack of ``ids`` if a prefix settles it, else None.
+
+    Row r of the stack is the dyad of kets ``ids[r] // K`` and
+    ``ids[r] % K``, for K = ``len(kets)``; see :func:`dyad_span_rank`.
+    """
+    k, d = kets.shape
+    rows = d * d
+    if 4 * rows > len(ids):
+        return None
+    # ||S||_F and tau from the kets alone: ||a><b||_F = ||a|| ||b|| and
+    # <I/sqrt(d), |a><b|> = <b|a>/sqrt(d).
+    norms = np.linalg.norm(kets, axis=1)
+    frob = np.linalg.norm(norms[ids // k] * norms[ids % k])
+    mixed = np.random.default_rng(0).permutation(ids)
+    left, right = kets[mixed // k], kets[mixed % k]
+    tau = np.linalg.norm((left * right.conj()).sum(axis=1)) / math.sqrt(d)
+    while 4 * rows <= len(ids):
+        svals = np.linalg.svd(dyad(left[:rows], right[:rows]).reshape(rows, -1),
+                              compute_uv=False)
+        lower = np.count_nonzero(svals > DEFAULT_RANK_TOL * frob)
+        upper = d * d - 1 if tau <= DEFAULT_RANK_TOL * svals[0] else d * d
+        if lower == upper:
+            return int(lower)
+        rows *= 2
+    return None
 
 
 def certify(s: StateSet, tol: float = DEFAULT_PAIR_TOL) -> DyadCertificate:

@@ -142,7 +142,6 @@ def _cmd_upb(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    s = _resolve_input(args.input, args)
     opts = OptimizerOptions(
         r_steps=args.r_steps,
         restarts=args.restarts,
@@ -151,6 +150,7 @@ def _cmd_bound(args) -> int:
         max_iters=args.max_iters,
         tol=args.tol,
     )
+    s = _resolve_input(args.input, args)
     result: BoundResult = error_lower_bound(s, opts)
     payload = _report_header(args, "bound")
     payload["input"] = args.input

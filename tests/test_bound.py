@@ -439,6 +439,23 @@ class TestMinDistanceAtRadius:
         baseline = sampled_min_distance(s, radius, 100_000, rng)
         assert optimum <= baseline + 1e-6
 
+    def test_optimizers_looked_up_on_scipy_optimize(self, monkeypatch):
+        # The optimizers are resolved on the module at call time, so a
+        # replacement set on ``scipy.optimize`` sees every call.
+        import scipy.optimize
+
+        calls = []
+        for name in ("minimize", "brentq"):
+            def recording(*args, _name=name,
+                          _original=getattr(scipy.optimize, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.optimize, name, recording)
+        min_distance_at_radius(bell_states(), 0.4, FAST_OPTS)
+        assert calls.count("minimize") >= FAST_OPTS.restarts
+        assert calls.count("brentq") >= 1
+
 
 class TestMemberBasis:
     @pytest.mark.parametrize("build", [phased_bell, tiles, halder_full,

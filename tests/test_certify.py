@@ -50,6 +50,19 @@ def full_stack_rank(s, party, pairs):
     return numerical_rank(dyad(v[idx[:, 0]], v[idx[:, 1]]))
 
 
+def decomposed_rows(monkeypatch):
+    """Row count of every matrix ``np.linalg.svd`` decomposes from now on."""
+    rows = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        rows.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return rows
+
+
 DIMS_CHOICES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]
 
 
@@ -204,18 +217,101 @@ class TestDyadSpanRank:
                                                                    subset)
 
     def test_ranks_distinct_ket_pairs_only(self, monkeypatch):
-        rows = []
-
-        def recording_rank(mats):
-            rows.append(len(mats))
-            return numerical_rank(mats)
-
-        # The package exports the function ``certify`` under the module's name.
-        module = importlib.import_module("nlwe.certify")
-        monkeypatch.setattr(module, "numerical_rank", recording_rank)
+        rows = decomposed_rows(monkeypatch)
         cert = certify(gentiles1(8))
-        assert rows == [336, 336]
+        # 336 distinct dyads per party, of which the first 64-row prefix
+        # already spans the traceless space.
+        assert rows == [64, 64]
+        assert max(rows) <= 336
         assert [r.to_dict()["pair_count"] for r in cert.records] == [1072, 1072]
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_streamed_rank_on_scrambled_gentiles(self, rng, monkeypatch, n):
+        s = gentiles1(n)
+        s = apply_local_unitaries(s, [haar_unitary(d, rng) for d in s.dims])
+        s = permute_states(s, rng.permutation(s.n_states))
+        for party in range(s.parties):
+            pairs = exclusive_pairs(s, party)
+            rows = decomposed_rows(monkeypatch)
+            rank = dyad_span_rank(s, party, pairs)
+            assert rows[0] == n * n
+            assert rank == full_stack_rank(s, party, pairs) == n * n - 1
+
+    def test_streamed_rank_falls_back_when_bounds_never_meet(self, rng,
+                                                             monkeypatch):
+        # Party 0's kets fill a 3-dim subspace of C^4, so the dyads of all
+        # pairs span 9 dimensions, while their identity component keeps the
+        # upper bound at 16: every prefix up to a quarter of the 132 rows is
+        # taken, then the whole stack.
+        kets = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
+        e = np.eye(2)
+        s = StateSet((4, 2), [(np.append(k, 0), e[m % 2])
+                              for m, k in enumerate(kets)], validate=False)
+        pairs = [(i, j) for i in range(12) for j in range(12) if i != j]
+        rows = decomposed_rows(monkeypatch)
+        assert dyad_span_rank(s, 0, pairs) == 9
+        assert rows == [16, 32, 132]
+        assert full_stack_rank(s, 0, pairs) == 9
+
+    def test_streamed_rank_on_non_exclusive_pairs(self, rng):
+        for _ in range(30):
+            s = random_product_set(rng)
+            pairs = [(i, j) for i in range(s.n_states)
+                     for j in range(s.n_states) if i != j]
+            for party in range(s.parties):
+                assert (dyad_span_rank(s, party, pairs)
+                        == full_stack_rank(s, party, pairs))
+
+    def test_streamed_rank_near_rank_cutoff(self, rng):
+        # Kets within about 1e-4 of e_0 put each dyad's e_1 e_1^dag part
+        # near the rank cutoff, where a prefix can show a singular value
+        # above tol sigma_1(P) that the whole stack ranks below its cutoff.
+        e = np.eye(2)
+        for _ in range(200):
+            n = int(rng.integers(30, 60))
+            delta = 10 ** rng.uniform(-4.2, -3.8)
+            kets = e[0] + delta * (rng.normal(size=(n, 2))
+                                   + 1j * rng.normal(size=(n, 2)))
+            s = StateSet((2, 2), [(k, e[m % 2]) for m, k in enumerate(kets)],
+                         validate=False)
+            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            assert (dyad_span_rank(s, 0, pairs)
+                    == full_stack_rank(s, 0, pairs))
+
+    def test_streamed_rank_on_unsaturated_parties(self, rng):
+        s = two_qubit_demo()
+        for party in range(s.parties):
+            pairs = exclusive_pairs(s, party)
+            assert (dyad_span_rank(s, party, pairs)
+                    == full_stack_rank(s, party, pairs))
+        s = tiles()
+        for party in range(s.parties):
+            pairs = exclusive_pairs(s, party)
+            for _ in range(20):
+                subset = pairs[rng.random(len(pairs)) < 0.5]
+                assert (dyad_span_rank(s, party, subset)
+                        == full_stack_rank(s, party, subset))
+
+    @pytest.mark.parametrize("pair_tol", [1e-9, 1e-8, 1e-7])
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+    def test_streamed_rank_with_overlaps_near_pair_tol(self, rng, pair_tol,
+                                                       scale):
+        # Party 0's kets are nudged so that exclusive pairs overlap at about
+        # the pair tolerance. From a pair tolerance of 1e-8 on, the identity
+        # component of the stack reaches the rank cutoff, so some parties
+        # rank 64 and some need the whole stack.
+        eps = scale * pair_tol
+        s = gentiles1(8)
+        entries = []
+        for m in range(s.n_states):
+            a, b = s.local_state(m, 0), s.local_state(m, 1)
+            nudge = rng.normal(size=8) + 1j * rng.normal(size=8)
+            entries.append((a + eps * nudge / np.linalg.norm(nudge), b))
+        s = StateSet(s.dims, entries, validate=False)
+        for party in range(s.parties):
+            pairs = exclusive_pairs(s, party, pair_tol)
+            assert (dyad_span_rank(s, party, pairs)
+                    == full_stack_rank(s, party, pairs))
 
     def test_repeated_pairs_do_not_change_rank(self):
         s = tiles()

@@ -1,10 +1,14 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlwe.cli
 from nlwe.bound import OptimizerOptions
 from nlwe.certify import EnumerationBudgetExceeded
 from nlwe.cli import build_parser, main
@@ -54,6 +58,24 @@ def test_nan_priors_file_rejected(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert "priors must be finite and positive" in err
+
+
+def test_certify_and_upb_never_import_scipy_optimize():
+    # A fresh interpreter, since this one may have imported it already.
+    script = (
+        "import contextlib, io, sys\n"
+        "import nlwe.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [nlwe.cli.main(['certify', 'tiles']),\n"
+        "             nlwe.cli.main(['upb', 'tiles'])]\n"
+        "print(codes, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = Path(nlwe.cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[0, 0] False\n"
 
 
 class TestGenerate:
@@ -249,6 +271,21 @@ class TestBound:
         assert code == 2
         assert out == ""
         assert field in err
+
+    @pytest.mark.parametrize("flag,value", [("--restarts", "0"),
+                                            ("--r-steps", "0"),
+                                            ("--tol", "nan")])
+    def test_invalid_options_rejected_before_loading(self, capsys,
+                                                     monkeypatch, flag,
+                                                     value):
+        def explode(text, args):
+            raise AssertionError("input loaded")
+
+        monkeypatch.setattr("nlwe.cli._resolve_input", explode)
+        code, out, err = run(capsys, "bound", "tiles", flag, value)
+        assert code == 2
+        assert out == ""
+        assert "optimizer options" in err
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tol_rejected(self, capsys, tol):
