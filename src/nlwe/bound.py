@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -31,78 +30,11 @@ from .families import StateSet
 TRACE_FLOOR = 1e-12
 
 
-def _kron_all(mats) -> np.ndarray:
-    return reduce(np.kron, mats)
-
-
-@dataclass(frozen=True)
-class ProductOperator:
-    """PSD product operator assembled from per-party factors as kron(L^dag L).
-
-    Factors may be rectangular; a (1, d) factor yields a rank-1 local part.
-    """
-
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        mats = tuple(np.atleast_2d(np.asarray(f, dtype=complex))
-                     for f in self.factors)
-        if not mats:
-            raise ValueError("need at least one factor")
-        for f in mats:
-            if not np.all(np.isfinite(f)):
-                raise ValueError("factor has non-finite entries")
-            f.setflags(write=False)
-        object.__setattr__(self, "factors", mats)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.shape[1] for f in self.factors)
-
-    def psd_factors(self) -> list[np.ndarray]:
-        return [f.conj().T @ f for f in self.factors]
-
-    def matrix(self) -> np.ndarray:
-        return _kron_all(self.psd_factors())
-
-
-def _materialize(q) -> np.ndarray:
-    if isinstance(q, ProductOperator):
-        return q.matrix()
-    arr = np.asarray(q, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    return arr
-
-
-def discrimination_operator(s: StateSet) -> np.ndarray:
-    """Sum of the state projectors weighted by sqrt of the priors.
-
-    The result is Hermitian positive semidefinite with unit squared norm, and
-    sandwiching a state projector between two copies rescales it by its prior.
-    """
-    v = s.global_matrix()
-    w = np.sqrt(s.priors)
-    return (v.T * w) @ v.conj()
-
-
-def nearest_zonotope_point(q, s: StateSet) -> np.ndarray:
-    """Zonotope element closest to the projected operator.
-
-    The minimizer over sums of state projectors with coefficients in [0, 1]
-    is coordinatewise: the prior-weighted diagonal expectation values,
-    clamped into [0, 1].
-    """
-    qmat = _materialize(q)
-    v = s.global_matrix()
-    coeff = s.priors * np.einsum("md,de,me->m", v.conj(), qmat, v).real
-    coeff = np.clip(coeff, 0.0, 1.0)
-    return (v.T * coeff) @ v.conj()
-
-
 def distance_from_identity(q) -> float:
     """Frobenius distance of the trace-normalized operator from I/D."""
-    qmat = _materialize(q)
+    qmat = np.asarray(q, dtype=complex)
+    if qmat.ndim != 2 or qmat.shape[0] != qmat.shape[1]:
+        raise ValueError("operator must be a square matrix")
     t = qmat.trace().real
     if t < TRACE_FLOOR:
         raise ValueError("operator trace is not positive")
@@ -113,80 +45,6 @@ def distance_from_identity(q) -> float:
 def max_radius(total_dim: int) -> float:
     """Largest distance from the identity, attained by rank-1 operators."""
     return math.sqrt((total_dim - 1) / total_dim)
-
-
-def zonotope_distance(q, s: StateSet) -> float:
-    """Scaled distance of the projected operator from the zonotope.
-
-    Because the coefficient box rescales freely with the operator, the
-    relevant minimum is taken over the nonnegative coefficient cone; for a
-    positive semidefinite input this removes exactly the diagonal part in
-    the state basis, making the distance exactly invariant under rescaling.
-    Degenerate inputs whose projected trace vanishes get distance zero.
-    """
-    c = np.sqrt(s.priors)[:, None] * s.global_matrix()
-    found = _residual(c.conj() @ _materialize(q) @ c.T)
-    if found is None:
-        warnings.warn("operator has no overlap with the states; "
-                      "distance defined as 0", RuntimeWarning, stacklevel=2)
-        return 0.0
-    m, t = found
-    return float(np.linalg.norm(m) / t)
-
-
-def quadratic_over_linear_gap(terms) -> float:
-    """Slack in the bound sum(|M|^2/t) >= |sum(M)|^2 / sum(t).
-
-    Takes (matrix, positive weight) pairs; the result is nonnegative for any
-    matrices, by the same expansion that makes |a|^2/s + |b|^2/t >=
-    |a + b|^2/(s + t) for positive s, t.
-    """
-    mats, weights = [], []
-    for m, t in terms:
-        t = float(t)
-        if t <= 0:
-            raise ValueError("weights must be positive")
-        mats.append(np.asarray(m, dtype=complex))
-        weights.append(t)
-    if not mats:
-        raise ValueError("need at least one term")
-    lhs = sum(np.linalg.norm(m) ** 2 / t for m, t in zip(mats, weights))
-    rhs = np.linalg.norm(sum(mats)) ** 2 / sum(weights)
-    return float(lhs - rhs)
-
-
-def segment_distance_inequality(q_p: ProductOperator, q_s: ProductOperator,
-                                y: float, s: StateSet,
-                                tol: float = 1e-9) -> bool:
-    """Interpolation bound for the scaled zonotope distance.
-
-    For operators differing in a single party's factor, the mixture at
-    parameter y in [0, 1] satisfies
-    (trace * distance)(mix) <= (1-y) (trace * distance)(p) + y (...)(s),
-    all traces taken after projection. Returns True when the inequality
-    holds within ``tol``.
-    """
-    if not 0.0 <= y <= 1.0:
-        raise ValueError("y must lie in [0, 1]")
-    if q_p.dims != q_s.dims:
-        raise ValueError("operators act on different spaces")
-    differing = sum(
-        not (a.shape == b.shape and np.allclose(a, b))
-        for a, b in zip(q_p.psd_factors(), q_s.psd_factors())
-    )
-    if differing > 1:
-        raise ValueError("operators must share all but one party's factor")
-    pi = discrimination_operator(s)
-    qp, qs = q_p.matrix(), q_s.matrix()
-    qy = (1.0 - y) * qp + y * qs
-
-    def scaled(qmat):
-        t = (pi @ qmat @ pi).trace().real
-        return t * zonotope_distance(qmat, s)
-
-    lhs = scaled(qy)
-    rhs = (1.0 - y) * scaled(qp) + y * scaled(qs)
-    return lhs <= rhs + tol
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +68,25 @@ class OptimizerOptions:
     sigma_max: float = 1.0
 
     def __post_init__(self):
+        problems = []
+        for name, low in (("restarts", 1), ("r_steps", 1), ("seed", 0),
+                          ("penalty_stages", 1), ("max_iters", 1),
+                          ("refine_levels", 0), ("refine_points", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                problems.append(f"{name} must be an int, got {value!r}")
+            elif value < low:
+                problems.append(f"{name} must be "
+                                + ("nonnegative" if low == 0 else "at least 1"))
         checks = (
-            (self.restarts >= 1, "restarts must be at least 1"),
-            (self.r_steps >= 1, "r_steps must be at least 1"),
-            (self.seed >= 0, "seed must be nonnegative"),
-            (self.penalty_stages >= 1, "penalty_stages must be at least 1"),
-            (self.max_iters >= 1, "max_iters must be at least 1"),
             (0 < self.tol < math.inf, "tol must be finite and positive"),
             (0 < self.penalty_base < math.inf,
              "penalty_base must be finite and positive"),
-            (self.refine_levels >= 0, "refine_levels must be nonnegative"),
-            (self.refine_points >= 1, "refine_points must be at least 1"),
             (0 <= self.sigma_min <= self.sigma_max < math.inf,
              "need 0 <= sigma_min <= sigma_max, sigma_max finite"),
         )
-        problems = [message for ok, message in checks if not ok]
+        problems += [message for ok, message in checks if not ok]
         if problems:
             raise ValueError("invalid optimizer options: "
                              + "; ".join(problems))

@@ -125,8 +125,11 @@ class StateSet:
         return np.vstack([self.global_state(m) for m in range(self.n_states)])
 
     def _check_orthogonality(self):
-        v = self.global_matrix()
-        overlap = np.abs(v.conj() @ v.T)
+        # A product set's Gram matrix is the entrywise product of the
+        # parties' local Gram matrices, so no global ket is formed.
+        factors = ([self.local_matrix(a) for a in range(self.parties)]
+                   if self.all_product else [self.global_matrix()])
+        overlap = np.abs(math.prod(v.conj() @ v.T for v in factors))
         bad = np.argwhere(np.triu(overlap > ORTHOGONALITY_TOL, k=1))
         if bad.size:
             i, j = bad[0]
@@ -425,10 +428,15 @@ def from_payload(payload: dict) -> StateSet:
     if not isinstance(payload, dict):
         raise ValueError("state-set payload must be an object")
     version = payload.get("version")
+    # Exact type checks: JSON true and false load as bool, a subclass of int.
+    if type(version) is not int:
+        raise ValueError(f"malformed state-set payload: version {version!r}")
     if version != FILE_FORMAT_VERSION:
         raise ValueError(f"unsupported file version {version!r}")
     try:
-        dims = [int(d) for d in payload["dims"]]
+        dims = payload["dims"]
+        if not all(type(d) is int for d in dims):
+            raise ValueError(f"dims {dims!r} must be integers")
         priors = [float(p) for p in payload["priors"]]
         states = [
             [np.array([complex(re, im) for re, im in ket]) for ket in entry]

@@ -12,16 +12,10 @@ import pytest
 
 from nlwe.bound import (
     OptimizerOptions,
-    ProductOperator,
     _BoundProblem,
     _objective,
     _pack,
-    discrimination_operator,
     error_lower_bound,
-    nearest_zonotope_point,
-    quadratic_over_linear_gap,
-    segment_distance_inequality,
-    zonotope_distance,
 )
 from nlwe.certify import (
     CERTIFIED_INDISCRIMINABLE,
@@ -47,6 +41,14 @@ from nlwe.families import (
 from nlwe.linalg import numerical_rank
 
 from conftest import apply_local_unitaries, haar_unitary, permute_states
+from dense_reference import (
+    ProductOperator,
+    discrimination_operator,
+    nearest_zonotope_point,
+    quadratic_over_linear_gap,
+    segment_distance_inequality,
+    zonotope_distance,
+)
 
 
 def _pass(label, detail=""):

@@ -7,20 +7,14 @@ import pytest
 from nlwe.bound import (
     BoundResult,
     OptimizerOptions,
-    ProductOperator,
     _BoundProblem,
     _objective,
     _pack,
     _unpack,
-    discrimination_operator,
     distance_from_identity,
     error_lower_bound,
     max_radius,
     min_distance_at_radius,
-    nearest_zonotope_point,
-    quadratic_over_linear_gap,
-    segment_distance_inequality,
-    zonotope_distance,
 )
 from nlwe.families import (
     StateSet,
@@ -29,6 +23,15 @@ from nlwe.families import (
     halder_states,
     tiles,
     two_qubit_demo,
+)
+
+from dense_reference import (
+    ProductOperator,
+    discrimination_operator,
+    nearest_zonotope_point,
+    quadratic_over_linear_gap,
+    segment_distance_inequality,
+    zonotope_distance,
 )
 
 FAST_OPTS = OptimizerOptions(r_steps=5, restarts=8, refine_levels=1)
@@ -386,7 +389,8 @@ def sampled_min_distance(s, radius, n_samples, rng, chunk=5000):
 
 class TestProjection:
     def test_projected_points_exactly_feasible(self, rng):
-        from nlwe.bound import _kron_all, _project_to_radius
+        from dense_reference import kron_all as _kron_all
+        from nlwe.bound import _project_to_radius
 
         for dims in ((2, 3), (2, 2, 2)):
             for _ in range(50):
@@ -405,7 +409,8 @@ class TestProjection:
     def test_near_identity_projection(self, rng):
         # A descent that collapses to about c I leaves |A - c I| tiny; the
         # radius must still come out exact.
-        from nlwe.bound import _kron_all, _project_to_radius
+        from dense_reference import kron_all as _kron_all
+        from nlwe.bound import _project_to_radius
 
         psd = []
         for d in (2, 3):
@@ -541,6 +546,9 @@ class TestOptimizerOptions:
         ("sigma_min", -0.1), ("sigma_min", 2.0),
         ("tol", math.inf), ("penalty_base", math.inf), ("sigma_max", math.inf),
         ("tol", math.nan), ("penalty_base", math.nan), ("sigma_max", math.nan),
+        ("restarts", 2.5), ("restarts", True), ("r_steps", 2.5),
+        ("refine_points", 2.5), ("penalty_stages", 1.5), ("seed", 1.5),
+        ("max_iters", 10.0), ("refine_levels", False), ("seed", "0"),
     ])
     def test_rejects_invalid(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -154,6 +154,16 @@ class TestCertify:
         assert code == 2
         assert "cut" in err
 
+    def test_non_integer_dims_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "tiles.json"
+        run(capsys, "generate", "tiles", "-o", str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["dims"] = [3.7, 3.2]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "certify", str(path))
+        assert (code, out) == (2, "")
+        assert "malformed state-set payload" in err
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "certify", "no-such-file.json")
         assert code == 2

@@ -48,6 +48,18 @@ class TestStateSet:
         states = [(e[0],), (e[1],), (e[2],), (e[1] + e[3],)]
         with pytest.raises(ValueError, match="states 1 and 3"):
             StateSet((4,), states)
+        e = np.eye(2)
+        product = [(e[0], e[0]), (e[1], e[0]), (e[1], e[0] + e[1]),
+                   (e[0], e[1]), (e[0] + e[1], e[1])]
+        with pytest.raises(ValueError, match="states 1 and 2"):
+            StateSet((2, 2), product)
+
+    def test_product_set_validated_without_global_kets(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("global matrix formed")
+
+        monkeypatch.setattr(StateSet, "global_matrix", refuse)
+        assert gentiles1(8).n_states == 8 * 6 + 1
 
     def test_local_matrix_rows(self):
         s = tiles()
@@ -272,6 +284,20 @@ class TestFileRoundTrip:
         path = tmp_path / "v9.json"
         path.write_text(json.dumps({"version": 9}))
         with pytest.raises(ValueError, match="version"):
+            load(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("dims", [3.7, 3.2]), ("dims", ["3", "3"]), ("dims", [3.0, 3.0]),
+        ("dims", [True, 3]), ("dims", 3), ("version", True),
+        ("version", 1.0), ("version", "1"), ("version", None),
+    ])
+    def test_load_rejects_non_integer_fields(self, tmp_path, key, value):
+        path = tmp_path / "bad.json"
+        save(tiles(), path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="malformed state-set payload"):
             load(path)
 
     def test_load_rejects_garbage(self, tmp_path):
