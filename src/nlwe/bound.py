@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .families import StateSet
+from .families import StateSet, is_plain_int
 
 # Below this projected trace the scaled distance is defined as zero, which
 # can only lower the reported bound, never overstate it.
@@ -73,8 +73,7 @@ class OptimizerOptions:
                           ("penalty_stages", 1), ("max_iters", 1),
                           ("refine_levels", 0), ("refine_points", 1)):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
+            if not is_plain_int(value):
                 problems.append(f"{name} must be an int, got {value!r}")
             elif value < low:
                 problems.append(f"{name} must be "

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .families import PartyCut, StateSet, merge_cut
+from .families import PartyCut, StateSet, is_plain_int, merge_cut
 from .linalg import DEFAULT_RANK_TOL, dyad, numerical_rank
 
 # Overlap threshold used both for "orthogonal on this party" and for
@@ -64,9 +64,6 @@ class PartyRecord:
 class DyadCertificate:
     records: tuple[PartyRecord, ...]
     verdict: str
-
-    def record(self, party: int) -> PartyRecord:
-        return self.records[party]
 
     def to_dict(self) -> dict:
         return {
@@ -249,43 +246,40 @@ _STACK_ENTRIES = 1 << 21
 def _hyperplanes(kets: np.ndarray, tick) -> np.ndarray:
     """Every flat of rank d - 1 of the unit rows of ``kets``, as (F, K) masks.
 
-    Each flat is generated once, from its greedy basis: a basis
-    b_1 < ... < b_r grows only by a row j > b_r outside its closure, and the
-    growth is dropped when the new closure takes in a row below j. Flats
-    therefore come in lexicographic order of their rows. A row lies in the
-    closure when its residual against the basis is at most
-    ``DEFAULT_RANK_TOL``. ``tick(m)`` is told of each block of m growths
-    before their closures are computed.
+    Each flat is generated once, by residual growth: a flat whose greedy
+    basis is b_1 < ... < b_r grows only by a row j > b_r outside it, every
+    row's residual losing its component along j's, and the growth is
+    dropped when the new closure takes in a row below j. Flats therefore
+    come in lexicographic order of their rows. A row lies in the closure
+    when its residual is at most ``DEFAULT_RANK_TOL``. ``tick(m)`` is told
+    of each block of m growths before their closures are computed.
     """
     k, d = kets.shape
     step = max(1, _STACK_ENTRIES // (k * d))
     # With d = 1 the one flat of rank 0 is the closure of nothing.
     flats = [np.zeros((1 if d == 1 else 0, k), dtype=bool)]
 
-    def grow(basis, closed, dist, last):
-        # basis: orthonormal rows spanning the flat ``closed``; dist: each
-        # row's residual norm against it
-        resid = kets - (kets @ basis.conj().T) @ basis
+    def grow(resid, closed, dist, rank=0, last=-1):
+        # resid: each row's residual against the flat ``closed``; dist: norms
         cand = last + 1 + (~closed[last + 1:]).nonzero()[0]
         for start in range(0, len(cand), step):
             js = cand[start:start + step]
             tick(len(js))
             u = resid[js] / dist[js, None]
-            dists = np.linalg.norm(
-                resid - (u.conj() @ resid.T)[:, :, None] * u[:, None, :],
-                axis=2)
+            coef = u.conj() @ resid.T
+            dists = np.linalg.norm(resid - coef[..., None] * u[:, None], axis=2)
             now = closed | (dists <= DEFAULT_RANK_TOL)
             early = (now & ~closed) & (np.arange(k) < js[:, None])
             keep = (~early.any(axis=1)).nonzero()[0]
-            if len(basis) + 1 == d - 1:
+            if rank + 1 == d - 1:
                 flats.append(now[keep])
                 continue
             for c in keep:
-                grow(np.vstack([basis, u[c]]), now[c], dists[c], js[c])
+                grow(resid - coef[c, :, None] * u[c], now[c], dists[c],
+                     rank + 1, js[c])
 
     if d > 1:
-        grow(np.zeros((0, d), dtype=complex), np.zeros(k, dtype=bool),
-             np.linalg.norm(kets, axis=1), -1)
+        grow(kets, np.zeros(k, dtype=bool), np.linalg.norm(kets, axis=1))
     return np.concatenate(flats)
 
 
@@ -306,8 +300,7 @@ def upb_extendibility(s: StateSet,
     ``budget``; the search raises ``EnumerationBudgetExceeded`` once the
     count passes it. ``budget`` must be a positive int.
     """
-    if (isinstance(budget, bool) or not isinstance(budget, (int, np.integer))
-            or budget < 1):
+    if not is_plain_int(budget) or budget < 1:
         raise ValueError(f"budget must be a positive int, got {budget!r}")
     _require_product(s, "extendibility")
     parties, n = s.parties, s.n_states

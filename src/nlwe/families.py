@@ -17,11 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import dyad, normalized, tensor
+from .linalg import normalized, tensor
 
 ORTHOGONALITY_TOL = 1e-10
 PRIOR_SUM_TOL = 1e-10
 FILE_FORMAT_VERSION = 1
+
+
+def is_plain_int(x) -> bool:
+    """Whether ``x`` is an int or numpy integer; bools are refused."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 class StateSet:
@@ -37,6 +42,8 @@ class StateSet:
     __slots__ = ("dims", "states", "priors")
 
     def __init__(self, dims, states, priors=None, *, validate: bool = True):
+        if not all(map(is_plain_int, dims := tuple(dims))):
+            raise ValueError(f"dims {dims!r} must be integers")
         dims = tuple(int(d) for d in dims)
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise ValueError("need at least one party with local dimension >= 1")
@@ -175,10 +182,6 @@ class PartyCut:
                 f"cut {text!r} covers {cut.parties} parties, expected {parties}"
             )
         return cut
-
-    @classmethod
-    def trivial(cls, parties: int) -> "PartyCut":
-        return cls(tuple((i,) for i in range(parties)))
 
     @classmethod
     def bipartitions(cls, parties: int) -> list["PartyCut"]:
@@ -367,41 +370,6 @@ def gentiles1(n: int) -> StateSet:
     return StateSet((n, n), states)
 
 
-def gentiles1_witness_dyads(n: int) -> list[np.ndarray]:
-    """Explicit traceless dyads on the first party of ``gentiles1(n)``.
-
-    This hand-picked list of n^2 - 1 dyads spans the full traceless operator
-    space, witnessing that the family is certifiable on that party.
-    """
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"n must be even and >= 4, got {n}")
-    half = n // 2
-    e = np.eye(n)
-    f = np.ones(n)
-
-    def h(k, m):
-        return _gentiles1_comb(n, k, m, 0)
-
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if j == i or j == (i + half) % n:
-                continue
-            out.append(dyad(e[i], e[j]))
-    for m in range(1, half):
-        out.append(dyad(f, h(0, m)))
-        out.append(dyad(h(0, m), f))
-    out.append(dyad(f, h(1, 1)))
-    out.append(dyad(h(1, 1), f))
-    for k in range(2, half + 1):
-        out.append(dyad(f, h(k, 1)))
-    for el in range(2, half):
-        out.append(dyad(h(1, 1), h(1, el)))
-    out.append(dyad(h(1, 2), h(1, 1)))
-    out.append(dyad(h(0, 1), e[half]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # File I/O
 # ---------------------------------------------------------------------------
@@ -428,14 +396,14 @@ def from_payload(payload: dict) -> StateSet:
     if not isinstance(payload, dict):
         raise ValueError("state-set payload must be an object")
     version = payload.get("version")
-    # Exact type checks: JSON true and false load as bool, a subclass of int.
-    if type(version) is not int:
+    # JSON true and false load as bool, a subclass of int.
+    if not is_plain_int(version):
         raise ValueError(f"malformed state-set payload: version {version!r}")
     if version != FILE_FORMAT_VERSION:
         raise ValueError(f"unsupported file version {version!r}")
     try:
         dims = payload["dims"]
-        if not all(type(d) is int for d in dims):
+        if not all(map(is_plain_int, dims)):
             raise ValueError(f"dims {dims!r} must be integers")
         priors = [float(p) for p in payload["priors"]]
         states = [

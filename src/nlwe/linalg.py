@@ -7,7 +7,6 @@ convention.
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 from typing import Sequence
 
@@ -37,15 +36,6 @@ def normalized(v) -> np.ndarray:
     return ket / norm
 
 
-def inner(a, b) -> complex:
-    """Inner product <a|b>, conjugate-linear in the first argument."""
-    a = as_ket(a)
-    b = as_ket(b)
-    if a.size != b.size:
-        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    return complex(np.vdot(a, b))
-
-
 def tensor(kets: Sequence) -> np.ndarray:
     """Tensor product of kets, first ket slowest-varying."""
     if len(kets) == 0:
@@ -69,26 +59,16 @@ def dyad(ket, bra) -> np.ndarray:
     return k[..., :, None] * b.conj()[..., None, :]
 
 
-def frobenius_norm(m) -> float:
-    """sqrt(Tr(M^dag M)), i.e. the entrywise 2-norm."""
-    arr = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix has non-finite entries")
-    return float(np.linalg.norm(arr))
-
-
-def numerical_rank(mats, tol_rel: float = DEFAULT_RANK_TOL) -> int:
+def numerical_rank(mats) -> int:
     """Dimension of the span of the given matrices (or vectors).
 
     Inputs are stacked along the first axis of one array, or given as a
     sequence of same-shape arrays; ragged input raises ``ValueError``. Each
     is flattened into one row; the rank is the number of singular values
-    exceeding ``tol_rel`` times the largest one. Empty input: rank 0.
+    exceeding ``DEFAULT_RANK_TOL`` times the largest one. Empty input: rank 0.
     """
-    if not (math.isfinite(tol_rel) and tol_rel > 0):
-        raise ValueError(f"tol_rel must be finite and positive, got {tol_rel}")
     if len(mats) == 0:
         return 0
     stack = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
     svals = np.linalg.svd(stack, compute_uv=False)
-    return int(np.count_nonzero(svals > tol_rel * svals[0]))
+    return int(np.count_nonzero(svals > DEFAULT_RANK_TOL * svals[0]))

@@ -1,11 +1,12 @@
-"""Shared helpers: seeded randomness and local-unitary scrambling."""
+"""Shared helpers: seeded randomness, local-unitary scrambling, references."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from nlwe.families import StateSet
+from nlwe.families import StateSet, _gentiles1_comb
+from nlwe.linalg import dyad
 
 
 @pytest.fixture
@@ -45,3 +46,38 @@ def permute_states(s: StateSet, order) -> StateSet:
         [s.states[i] for i in order],
         [s.priors[i] for i in order],
     )
+
+
+def gentiles1_witness_dyads(n: int) -> list[np.ndarray]:
+    """Explicit traceless dyads on the first party of ``gentiles1(n)``.
+
+    This hand-picked list of n^2 - 1 dyads spans the full traceless operator
+    space, witnessing that the family is certifiable on that party.
+    """
+    if n < 4 or n % 2 != 0:
+        raise ValueError(f"n must be even and >= 4, got {n}")
+    half = n // 2
+    e = np.eye(n)
+    f = np.ones(n)
+
+    def h(k, m):
+        return _gentiles1_comb(n, k, m, 0)
+
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if j == i or j == (i + half) % n:
+                continue
+            out.append(dyad(e[i], e[j]))
+    for m in range(1, half):
+        out.append(dyad(f, h(0, m)))
+        out.append(dyad(h(0, m), f))
+    out.append(dyad(f, h(1, 1)))
+    out.append(dyad(h(1, 1), f))
+    for k in range(2, half + 1):
+        out.append(dyad(f, h(k, 1)))
+    for el in range(2, half):
+        out.append(dyad(h(1, 1), h(1, el)))
+    out.append(dyad(h(1, 2), h(1, 1)))
+    out.append(dyad(h(0, 1), e[half]))
+    return out

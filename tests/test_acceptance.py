@@ -32,7 +32,6 @@ from nlwe.families import (
     StateSet,
     bell_states,
     gentiles1,
-    gentiles1_witness_dyads,
     halder_states,
     rotated_dominoes,
     tiles,
@@ -40,7 +39,12 @@ from nlwe.families import (
 )
 from nlwe.linalg import numerical_rank
 
-from conftest import apply_local_unitaries, haar_unitary, permute_states
+from conftest import (
+    apply_local_unitaries,
+    gentiles1_witness_dyads,
+    haar_unitary,
+    permute_states,
+)
 from dense_reference import (
     ProductOperator,
     discrimination_operator,
@@ -120,8 +124,8 @@ def test_two_qubit_demo_negative_control():
     s = two_qubit_demo()
     cert = certify(s)
     assert cert.verdict == INCONCLUSIVE
-    assert cert.record(0).span_rank == 2
-    assert cert.record(1).span_rank == 3
+    assert cert.records[0].span_rank == 2
+    assert cert.records[1].span_rank == 3
     assert sorted(exclusive_pairs(s, 1).tolist()) == [
         [0, 1], [1, 0], [2, 3], [3, 2],
     ]

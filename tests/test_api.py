@@ -1,11 +1,19 @@
+import importlib
+
 import nlwe
 import nlwe.bound
+from nlwe.certify import DyadCertificate
+from nlwe.families import PartyCut
 
-# The dense D x D operator layer, now kept in tests/dense_reference.py.
+# The dense D x D operator layer, now kept in tests/dense_reference.py, and
+# helpers only tests used: ``inner`` and ``frobenius_norm`` gave way to
+# ``np.vdot`` and ``np.linalg.norm``, and ``gentiles1_witness_dyads`` is in
+# tests/conftest.py.
 REMOVED = (
     "ProductOperator", "_kron_all", "_materialize", "discrimination_operator",
     "nearest_zonotope_point", "zonotope_distance",
     "quadratic_over_linear_gap", "segment_distance_inequality",
+    "inner", "frobenius_norm", "gentiles1_witness_dyads",
 )
 
 
@@ -22,3 +30,11 @@ def test_dense_layer_not_in_package():
     for name in REMOVED:
         assert not hasattr(nlwe, name)
         assert not hasattr(nlwe.bound, name)
+
+
+def test_test_only_helpers_not_in_package():
+    for module in ("nlwe.linalg", "nlwe.families"):
+        for name in REMOVED:
+            assert not hasattr(importlib.import_module(module), name)
+    assert not hasattr(PartyCut, "trivial")
+    assert not hasattr(DyadCertificate, "record")

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from nlwe.certify import (
     DEFAULT_PAIR_TOL,
     INCONCLUSIVE,
     EnumerationBudgetExceeded,
+    _distinct_kets,
+    _hyperplanes,
     certify,
     certify_cut,
     certify_minimal_upb,
@@ -26,16 +29,20 @@ from nlwe.families import (
     StateSet,
     bell_states,
     gentiles1,
-    gentiles1_witness_dyads,
     halder_states,
     merge_cut,
     rotated_dominoes,
     tiles,
     two_qubit_demo,
 )
-from nlwe.linalg import dyad, numerical_rank
+from nlwe.linalg import DEFAULT_RANK_TOL, dyad, numerical_rank
 
-from conftest import apply_local_unitaries, haar_unitary, permute_states
+from conftest import (
+    apply_local_unitaries,
+    gentiles1_witness_dyads,
+    haar_unitary,
+    permute_states,
+)
 
 
 def pair_basis(dims):
@@ -66,6 +73,21 @@ def decomposed_rows(monkeypatch):
 DIMS_CHOICES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]
 
 
+def ket_pool(rng, d):
+    """Two random kets, the sum of the first and last basis kets, the basis."""
+    e = np.eye(d)
+    pool = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(2)]
+    return pool + [e[0] + e[d - 1]] + [e[i] for i in range(d)]
+
+
+def draw_ket(rng, pool):
+    """A pool ket, times a random phase three times in ten."""
+    ket = pool[rng.integers(len(pool))]
+    if rng.random() < 0.3:
+        ket = np.exp(2j * np.pi * rng.random()) * ket
+    return ket
+
+
 def random_product_set(rng):
     """Product set drawn from a small pool of local kets per party.
 
@@ -75,22 +97,8 @@ def random_product_set(rng):
     """
     dims = DIMS_CHOICES[rng.integers(len(DIMS_CHOICES))]
     n = int(rng.integers(sum(dims), 11))
-    pools = []
-    for d in dims:
-        e = np.eye(d)
-        pool = [rng.normal(size=d) + 1j * rng.normal(size=d)
-                for _ in range(2)]
-        pool += [e[0] + e[d - 1]] + [e[i] for i in range(d)]
-        pools.append(pool)
-    entries = []
-    for _ in range(n):
-        kets = []
-        for pool in pools:
-            ket = pool[rng.integers(len(pool))]
-            if rng.random() < 0.3:
-                ket = np.exp(2j * np.pi * rng.random()) * ket
-            kets.append(ket)
-        entries.append(tuple(kets))
+    pools = [ket_pool(rng, d) for d in dims]
+    entries = [tuple(draw_ket(rng, pool) for pool in pools) for _ in range(n)]
     return StateSet(dims, entries, validate=False)
 
 
@@ -111,6 +119,46 @@ def brute_force_extendible(s):
     masks = [(labels == alpha) @ bits for alpha in range(parties)]
     return bool(np.logical_and.reduce(
         [short[alpha][masks[alpha]] for alpha in range(parties)]).any())
+
+
+def brute_force_hyperplanes(kets):
+    """Flats of rank d - 1 of the unit rows of ``kets``, by enumeration.
+
+    Takes every (d - 1)-subset whose rows stay independent under
+    Gram-Schmidt, closes it over all rows, and returns the distinct
+    closures as masks in lexicographic order of their rows. Independence
+    and closure both use the absolute ``DEFAULT_RANK_TOL`` residual rule.
+    """
+    k, d = kets.shape
+    found = set()
+    for subset in itertools.combinations(range(k), d - 1):
+        basis = np.zeros((0, d), dtype=complex)
+        for i in subset:
+            r = kets[i] - (kets[i] @ basis.conj().T) @ basis
+            if np.linalg.norm(r) <= DEFAULT_RANK_TOL:
+                break
+            basis = np.vstack([basis, r / np.linalg.norm(r)])
+        else:
+            resid = kets - (kets @ basis.conj().T) @ basis
+            closed = np.linalg.norm(resid, axis=1) <= DEFAULT_RANK_TOL
+            found.add(tuple(np.flatnonzero(closed)))
+    masks = np.zeros((len(found), k), dtype=bool)
+    for row, members in enumerate(sorted(found)):
+        masks[row, list(members)] = True
+    return masks
+
+
+def random_unit_kets(rng, d):
+    """Distinct unit kets drawn from a ``ket_pool``.
+
+    The pool also holds a ket 1e-6 away from its first, well outside the
+    closure tolerance.
+    """
+    pool = ket_pool(rng, d)
+    pool.append(pool[0] + 1e-6 * pool[1])
+    kets = [draw_ket(rng, pool) for _ in range(int(rng.integers(1, 9)))]
+    return _distinct_kets(np.array(kets) / np.linalg.norm(kets, axis=1,
+                                                          keepdims=True))[0]
 
 
 def assert_witness(s, result):
@@ -351,8 +399,8 @@ class TestCertify:
     def test_demo_inconclusive(self):
         cert = certify(two_qubit_demo())
         assert cert.verdict == INCONCLUSIVE
-        assert cert.record(0).span_rank == 2
-        assert cert.record(1).span_rank == 3
+        assert cert.records[0].span_rank == 2
+        assert cert.records[1].span_rank == 3
 
     def test_rank_never_exceeds_required(self):
         for s in (tiles(), halder_states("full"), gentiles1(4)):
@@ -408,6 +456,38 @@ class TestCuts:
             strong_nlwe(tiles())
 
 
+class TestHyperplanes:
+    @staticmethod
+    def flats(kets):
+        return _hyperplanes(kets, lambda nodes: None)
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_random_sets_match_enumeration(self, case):
+        s = random_product_set(np.random.default_rng([7, case]))
+        for alpha in range(s.parties):
+            kets = _distinct_kets(s.local_matrix(alpha))[0]
+            assert np.array_equal(self.flats(kets),
+                                  brute_force_hyperplanes(kets))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_random_kets_match_enumeration(self, d):
+        rng = np.random.default_rng([11, d])
+        for _ in range(20):
+            kets = random_unit_kets(rng, d)
+            flats = self.flats(kets)
+            assert flats.shape[1] == len(kets)
+            assert np.array_equal(flats, brute_force_hyperplanes(kets))
+
+    def test_gentiles1_6_flat_count(self):
+        s = gentiles1(6)
+        for alpha in range(s.parties):
+            kets = _distinct_kets(s.local_matrix(alpha))[0]
+            flats = self.flats(kets)
+            assert flats.shape == (2391, len(kets))
+            if alpha == 0:
+                assert np.array_equal(flats, brute_force_hyperplanes(kets))
+
+
 class TestExtendibility:
     def test_tiles_unextendible(self):
         result = upb_extendibility(tiles())
@@ -431,7 +511,7 @@ class TestExtendibility:
 
     def test_budget_counts_nodes_visited(self):
         with pytest.raises(EnumerationBudgetExceeded,
-                           match=r"reached \d+ nodes, past its budget of 1000"):
+                           match=r"reached 1003 nodes, past its budget of 1000"):
             upb_extendibility(gentiles1(6), budget=1000)
 
     @pytest.mark.parametrize("budget", [0, -1, 2.5, True, float("nan")])

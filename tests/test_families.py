@@ -90,6 +90,18 @@ class TestStateSet:
         with pytest.raises(ValueError, match="local dimensions"):
             StateSet((2, 3), [([1, 0], [1, 0])])
 
+    @pytest.mark.parametrize("dims", [(2.7, True), (3.0, 3)])
+    def test_rejects_non_integer_dims(self, dims):
+        # Casting would build (2, 1) from (2.7, True) without complaint.
+        with pytest.raises(ValueError, match="must be integers"):
+            StateSet(dims, [([1, 0], [1]), ([0, 1], [1])])
+
+    def test_numpy_integer_dims_accepted(self):
+        s = StateSet(np.array([2, 1], dtype=np.int64),
+                     [([1, 0], [1]), ([0, 1], [1])])
+        assert s.dims == (2, 1)
+        assert all(type(d) is int for d in s.dims)
+
     def test_immutable(self):
         s = tiles()
         with pytest.raises(AttributeError):
@@ -225,7 +237,7 @@ class TestMergeCut:
 
     def test_trivial_cut_identity(self):
         s = tiles()
-        merged = merge_cut(s, PartyCut.trivial(2))
+        merged = merge_cut(s, PartyCut(((0,), (1,))))
         assert merged.dims == s.dims
         for m in range(s.n_states):
             assert np.allclose(merged.global_state(m), s.global_state(m))
@@ -253,7 +265,7 @@ class TestMergeCut:
 
     def test_wrong_party_count(self):
         with pytest.raises(ValueError):
-            merge_cut(tiles(), PartyCut.trivial(3))
+            merge_cut(tiles(), PartyCut(((0,), (1,), (2,))))
 
 
 class TestFileRoundTrip:

