@@ -237,10 +237,53 @@ class ExtendibilityResult:
     witness_ranks: tuple[int, ...] | None
 
 
-# Complex entries per stacked array (32 MB): closures in the flat search,
-# member masks in the partition search and d-subsets in the minimality
-# check are computed in blocks of at most this size.
+# Complex entries per stacked array (32 MB): member masks in the partition
+# search and d-subsets in the minimality check are computed in blocks of at
+# most this size.
 _STACK_ENTRIES = 1 << 21
+# Complex entries per stacked array of the flat search (512 KB). Past about
+# this size the block's temporaries were measured to cost several times
+# more per entry.
+_FLAT_ENTRIES = 1 << 15
+# Levels of flats grown in blocks under each flat of rank d - 1 - this.
+# Deeper subtrees make larger blocks but cost more to grow again one flat
+# at a time when the budget runs out inside one.
+_BATCHED_LEVELS = 4
+
+
+def _children(block, nodes, js, leaf):
+    """Kept children of a block of flats, each adding row ``js[i]`` to flat
+    ``nodes[i]``, in the order given.
+
+    A block holds, for each flat, every row's residual against it (B, K, d),
+    its rows as a mask (B, K), the residual norms (B, K) and the last row
+    of its greedy basis (B,). A child's residuals lose their components
+    along row j's, and the child is dropped when its closure takes in a row
+    below j. Returns the children as such a block, or only their masks when
+    they are ``leaf`` flats.
+    """
+    resid, closed, dist, _ = block
+    parent, closed = resid[nodes], closed[nodes]
+    u = resid[nodes, js] / dist[nodes, js, None]
+    coef = parent @ u.conj()[:, :, None]
+    if leaf:
+        # A row's new residual norm squared is dist^2 - |coef|^2 up to
+        # rounding near eps, so only rows where that is at most 1e-12 can
+        # close, and only theirs are formed.
+        p, m = (~closed & (dist[nodes] ** 2 - abs(coef[..., 0]) ** 2
+                           <= 1e-12)).nonzero()
+        now = closed.copy()
+        now[p, m] = np.linalg.norm(parent[p, m] - coef[p, m] * u[p],
+                                   axis=1) <= DEFAULT_RANK_TOL
+    else:
+        resid = parent - coef * u[:, None]
+        dist = np.linalg.norm(resid, axis=2)
+        now = closed | (dist <= DEFAULT_RANK_TOL)
+    early = (now & ~closed) & (np.arange(now.shape[1]) < js[:, None])
+    keep = ~early.any(axis=1)
+    if leaf:
+        return now[keep]
+    return resid[keep], now[keep], dist[keep], js[keep]
 
 
 def _hyperplanes(kets: np.ndarray, tick) -> np.ndarray:
@@ -251,36 +294,90 @@ def _hyperplanes(kets: np.ndarray, tick) -> np.ndarray:
     row's residual losing its component along j's, and the growth is
     dropped when the new closure takes in a row below j. Flats therefore
     come in lexicographic order of their rows. A row lies in the closure
-    when its residual is at most ``DEFAULT_RANK_TOL``. ``tick(m)`` is told
-    of each block of m growths before their closures are computed.
+    when its residual is at most ``DEFAULT_RANK_TOL``.
+
+    Flats of rank below c = d - 1 - ``_BATCHED_LEVELS`` grow one at a
+    time. The subtree under a flat of rank c grows depth-first in blocks of
+    flats, each stacked array holding at most ``_FLAT_ENTRIES`` complex
+    entries. ``tick(m)`` is told of m growths before they are computed: one
+    flat's above rank c, one block's within a subtree. It raises without
+    counting them when they would pass the budget, and a negative m takes
+    counted growths back. A subtree that passes the budget is taken back
+    and grown again one flat at a time, so the count passes the budget at
+    the same flat, and at the same total, as when every flat grows alone in
+    depth-first preorder; the work done before the raise is at most the
+    budget plus that one subtree.
     """
     k, d = kets.shape
-    step = max(1, _STACK_ENTRIES // (k * d))
+    step = max(1, _FLAT_ENTRIES // (k * d))
     # With d = 1 the one flat of rank 0 is the closure of nothing.
     flats = [np.zeros((1 if d == 1 else 0, k), dtype=bool)]
 
-    def grow(resid, closed, dist, rank=0, last=-1):
-        # resid: each row's residual against the flat ``closed``; dist: norms
-        cand = last + 1 + (~closed[last + 1:]).nonzero()[0]
-        for start in range(0, len(cand), step):
-            js = cand[start:start + step]
-            tick(len(js))
-            u = resid[js] / dist[js, None]
-            coef = u.conj() @ resid.T
-            dists = np.linalg.norm(resid - coef[..., None] * u[:, None], axis=2)
-            now = closed | (dists <= DEFAULT_RANK_TOL)
-            early = (now & ~closed) & (np.arange(k) < js[:, None])
-            keep = (~early.any(axis=1)).nonzero()[0]
-            if rank + 1 == d - 1:
-                flats.append(now[keep])
-                continue
-            for c in keep:
-                grow(resid - coef[c, :, None] * u[c], now[c], dists[c],
-                     rank + 1, js[c])
+    def grow(block, rank, count, cutoff):
+        # A block of flats of rank ``rank``, whose growths ``count`` is told
+        # of; a single flat below ``cutoff``, whose children are visited one
+        # at a time.
+        nodes, js = (~block[1] & (np.arange(k) > block[3][:, None])).nonzero()
+        count(len(js))
+        for start in range(0, len(js), step):
+            children = _children(block, nodes[start:start + step],
+                                 js[start:start + step], rank + 2 == d)
+            if rank + 2 == d:
+                flats.append(children)
+            elif rank >= cutoff:
+                grow(children, rank + 1, count, cutoff)
+            else:
+                for i in range(len(children[3])):
+                    visit(tuple(a[i:i + 1] for a in children), rank + 1,
+                          cutoff)
+
+    def visit(node, rank, cutoff):
+        if rank < cutoff:
+            return grow(node, rank, tick, cutoff)
+        counted = []
+
+        def block_tick(m):
+            tick(m)
+            counted.append(m)
+
+        try:
+            grow(node, rank, block_tick, cutoff)
+        except EnumerationBudgetExceeded:
+            # Take the subtree's blocks back and count it again one flat at
+            # a time, in preorder, to raise where a per-flat search raises.
+            tick(-sum(counted))
+            grow(node, rank, tick, d)
+            raise
 
     if d > 1:
-        grow(kets, np.zeros(k, dtype=bool), np.linalg.norm(kets, axis=1))
+        root = (kets[None], np.zeros((1, k), dtype=bool),
+                np.linalg.norm(kets, axis=1)[None], np.array([-1]))
+        visit(root, 0, d - 1 - _BATCHED_LEVELS)
     return np.concatenate(flats)
+
+
+def _short(kets: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Whether the complex unit rows of ``kets`` over each of the (F, N)
+    member ``masks`` fail to span, by the absolute cutoff
+    ``DEFAULT_RANK_TOL`` on their singular values.
+
+    The smallest eigenvalue of G = sum of b b^H over a mask's rows b is the
+    square of their smallest singular value, and one (F x N) (N x d^2)
+    product forms every G. With N unit rows ||G|| <= N, and forming G and
+    its ``eigvalsh`` each err by at most about (N + d) eps ||G||. A mask
+    whose computed lambda_min(G) passes twice that, and at least 1e-12,
+    therefore has a smallest singular value near 1e-6 or more and spans;
+    only the other masks are decomposed.
+    """
+    n, d = kets.shape
+    outer = (kets[:, :, None] * kets[:, None, :].conj()).reshape(n, d * d)
+    gram = (masks.astype(float) @ outer.view(float)).view(complex)
+    lam = np.linalg.eigvalsh(gram.reshape(-1, d, d))[:, 0]
+    unclear = lam <= max(1e-12, 2 * (n + d) * n * np.finfo(float).eps)
+    svals = np.linalg.svd(kets * masks[unclear, :, None], compute_uv=False)
+    out = np.zeros(len(masks), dtype=bool)
+    out[unclear] = np.count_nonzero(svals > DEFAULT_RANK_TOL, axis=-1) < d
+    return out
 
 
 def upb_extendibility(s: StateSet,
@@ -296,9 +393,13 @@ def upb_extendibility(s: StateSet,
     recurses on the rest with party a + 1; the last party must be short on
     what is left. Flats come in lexicographic order of their members.
 
-    Every flat-generation step and every partition node counts against
-    ``budget``; the search raises ``EnumerationBudgetExceeded`` once the
-    count passes it. ``budget`` must be a positive int.
+    Every flat growth and every partition node counts against ``budget``,
+    before it is computed; the search raises ``EnumerationBudgetExceeded``
+    when the count would pass it, naming the count it would reach. Flat
+    growths are counted in blocks, but the raise comes at the same count as
+    when they are counted one flat at a time in depth-first preorder (see
+    :func:`_hyperplanes`). A member group is short by the Gram prefilter of
+    :func:`_short`. ``budget`` must be a positive int.
     """
     if not is_plain_int(budget) or budget < 1:
         raise ValueError(f"budget must be a positive int, got {budget!r}")
@@ -312,20 +413,12 @@ def upb_extendibility(s: StateSet,
 
     def tick(nodes):
         nonlocal visited
-        visited += nodes
-        if visited > budget:
+        if visited + nodes > budget:
             raise EnumerationBudgetExceeded(
-                f"UPB search reached {visited} nodes, past its budget of "
-                f"{budget}"
+                f"UPB search reached {visited + nodes} nodes, past its budget "
+                f"of {budget}"
             )
-
-    def short(alpha, masks):
-        """Whether party alpha's unit kets over each member mask fail to
-        span, by an absolute cutoff on their singular values."""
-        svals = np.linalg.svd(local[alpha] * masks[..., None],
-                              compute_uv=False)
-        return (np.count_nonzero(svals > DEFAULT_RANK_TOL, axis=-1)
-                < s.dims[alpha])
+        visited += nodes
 
     def search(members, alpha):
         # Party alpha's kets over ``members`` span its space.
@@ -338,7 +431,7 @@ def upb_extendibility(s: StateSet,
             block = flats[alpha][start:start + step]
             take, rest = block & members, ~block & members
             tick(len(rest))
-            done = short(alpha + 1, rest)
+            done = _short(local[alpha + 1], rest)
             for i in range(len(rest)):
                 if done[i]:
                     return [take[i], rest[i], *nothing]

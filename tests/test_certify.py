@@ -12,6 +12,7 @@ from nlwe.certify import (
     EnumerationBudgetExceeded,
     _distinct_kets,
     _hyperplanes,
+    _short,
     certify,
     certify_cut,
     certify_minimal_upb,
@@ -43,6 +44,9 @@ from conftest import (
     haar_unitary,
     permute_states,
 )
+from flat_reference import hyperplanes as reference_hyperplanes
+
+certify_module = importlib.import_module("nlwe.certify")
 
 
 def pair_basis(dims):
@@ -159,6 +163,48 @@ def random_unit_kets(rng, d):
     kets = [draw_ket(rng, pool) for _ in range(int(rng.integers(1, 9)))]
     return _distinct_kets(np.array(kets) / np.linalg.norm(kets, axis=1,
                                                           keepdims=True))[0]
+
+
+def reference_cases():
+    """Ket sets on which the flat search is checked against the reference."""
+    scrambled = [apply_local_unitaries(
+        gentiles1(n), [haar_unitary(n, np.random.default_rng([5, n, a]))
+                       for a in range(2)]) for n in (4, 6)]
+    sets = [gentiles1(4), gentiles1(6), *scrambled, tiles(),
+            halder_states("full")]
+    sets += [random_product_set(np.random.default_rng([7, case]))
+             for case in range(200)]
+    return [_distinct_kets(s.local_matrix(alpha))[0]
+            for s in sets for alpha in range(s.parties)]
+
+
+def budget_outcome(s, budget):
+    """The extendibility result, or the budget message if it raises."""
+    try:
+        return upb_extendibility(s, budget=budget)
+    except EnumerationBudgetExceeded as exc:
+        return str(exc)
+
+
+def svd_short(kets, masks):
+    """The plain rule: fewer than d singular values above the cutoff."""
+    svals = np.linalg.svd(kets * masks[..., None], compute_uv=False)
+    return (np.count_nonzero(svals > DEFAULT_RANK_TOL, axis=-1)
+            < kets.shape[1])
+
+
+def near_cutoff_stack(rng, n, d, sigma):
+    """n unit kets whose stack has smallest singular value near ``sigma``.
+
+    The first n - 1 kets lie in a hyperplane, and the last leaves it by
+    ``sigma``; a random unitary then turns them all.
+    """
+    plane = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    plane[:, -1] = 0
+    plane /= np.linalg.norm(plane, axis=1, keepdims=True)
+    plane[-1] *= math.sqrt(1 - sigma ** 2)
+    plane[-1, -1] = sigma
+    return plane @ haar_unitary(d, rng)
 
 
 def assert_witness(s, result):
@@ -486,6 +532,98 @@ class TestHyperplanes:
             assert flats.shape == (2391, len(kets))
             if alpha == 0:
                 assert np.array_equal(flats, brute_force_hyperplanes(kets))
+
+
+class TestFlatReference:
+    """The blocked flat search against the per-flat one in
+    ``tests/flat_reference.py``."""
+
+    def test_masks_order_and_tick_total(self):
+        for kets in reference_cases():
+            ticks, reference_ticks = [], []
+            flats = _hyperplanes(kets, ticks.append)
+            reference = reference_hyperplanes(kets, reference_ticks.append)
+            assert flats.dtype == bool
+            assert np.array_equal(flats, reference)
+            assert sum(ticks) == sum(reference_ticks)
+
+    @pytest.mark.parametrize("levels,entries", [(4, None), (1, 1), (2, 200)])
+    def test_every_budget_on_small_sets(self, monkeypatch, levels, entries):
+        # Fewer batched levels and smaller blocks put the cutoff and the
+        # block boundaries inside these small searches.
+        monkeypatch.setattr(certify_module, "_BATCHED_LEVELS", levels)
+        if entries is not None:
+            monkeypatch.setattr(certify_module, "_FLAT_ENTRIES", entries)
+        sets = [tiles(), gentiles1(4), pair_basis((2, 2))]
+        sets += [random_product_set(np.random.default_rng([7, case]))
+                 for case in range(0, 30, 3)]
+        for s in sets:
+            budget = 0
+            while True:
+                budget += 1
+                outcome = budget_outcome(s, budget)
+                with monkeypatch.context() as m:
+                    m.setattr(certify_module, "_hyperplanes",
+                              reference_hyperplanes)
+                    assert outcome == budget_outcome(s, budget)
+                if not isinstance(outcome, str):
+                    break
+
+    def test_gentiles1_6_budgets(self, monkeypatch):
+        s = gentiles1(6)
+        for budget in (1, 19, 100, 1000, 5000, 9000):
+            outcome = budget_outcome(s, budget)
+            assert "past its budget" in outcome
+            with monkeypatch.context() as m:
+                m.setattr(certify_module, "_hyperplanes",
+                          reference_hyperplanes)
+                assert outcome == budget_outcome(s, budget)
+
+
+class TestShort:
+    """The Gram prefilter gives the plain singular-value rule's answer."""
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(31)
+        for case in range(40):
+            s = random_product_set(np.random.default_rng([7, case]))
+            for alpha in range(s.parties):
+                kets = s.local_matrix(alpha)
+                masks = rng.random((50, s.n_states)) < rng.random((50, 1))
+                assert np.array_equal(_short(kets, masks),
+                                      svd_short(kets, masks))
+
+    @pytest.mark.parametrize("n", [6, 200])
+    @pytest.mark.parametrize("sigma", [1e-6, 5e-9, 2e-8, 1e-10])
+    def test_near_cutoff(self, n, sigma):
+        rng = np.random.default_rng([13, n])
+        for d in (2, 3, 4):
+            kets = near_cutoff_stack(rng, n, d, sigma)
+            smallest = np.linalg.svd(kets, compute_uv=False)[-1]
+            assert sigma / 4 < smallest <= sigma
+            masks = rng.random((40, n)) < 0.8
+            masks[:2] = True
+            masks[1, -1] = False
+            short = _short(kets, masks)
+            assert np.array_equal(short, svd_short(kets, masks))
+            assert short[0] == (smallest <= DEFAULT_RANK_TOL)
+            assert short[1]
+
+    def test_many_parallel_kets(self):
+        # 2,000 unit kets in one plane of C^3, close to one another: the
+        # Gram's rounding lifts its smallest eigenvalue above 1e-12, so
+        # only a cutoff growing with N keeps these masks short.
+        rng = np.random.default_rng(17)
+        n = 2000
+        around = rng.normal(size=2) + 1j * rng.normal(size=2)
+        plane = around + 1e-3 * (rng.normal(size=(n, 2))
+                                 + 1j * rng.normal(size=(n, 2)))
+        kets = np.hstack([plane, np.zeros((n, 1))]) @ haar_unitary(3, rng)
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        masks = rng.random((20, n)) < 0.9
+        masks[0] = True
+        assert svd_short(kets, masks).all()
+        assert _short(kets, masks).all()
 
 
 class TestExtendibility:
