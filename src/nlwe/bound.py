@@ -7,12 +7,16 @@ over positive semidefinite product operators at distance R from the
 identity. In the basis of the N orthonormal members, ``Pi Q Pi`` is an
 N x N matrix built from local parts alone: for a product set it is the
 entrywise product of the parties' N x N matrices, so no D x D operator is
-formed. The inner minimization is nonconvex; it is attacked by multi-start
-local descent with a quadratic distance penalty, so the reported values are
-best-effort estimates (upper estimates of each inner minimum) rather than
-certificates. Restarts stop early at radii that provably cannot hold the
-maximum, which leaves the bound unchanged. Diagnostics on restarts,
-convergence, pruned and failed radii accompany the result.
+formed. Its diagonal is nonnegative, as Q is PSD, and is the nearest point
+of the coefficient cone, so the distance is the norm of the off-diagonal
+part over the trace. One kernel evaluates all parties at once, stacked and
+zero-padded to the largest local dimension. The inner minimization is
+nonconvex; it is attacked by multi-start local descent with a quadratic
+distance penalty, so the reported values are best-effort estimates (upper
+estimates of each inner minimum) rather than certificates. Restarts stop
+early at radii that provably cannot hold the maximum, which leaves the
+bound unchanged. Diagnostics on restarts, convergence, pruned and failed
+radii accompany the result.
 """
 
 from __future__ import annotations
@@ -114,15 +118,6 @@ class BoundResult:
         return asdict(self)
 
 
-def _residual(p: np.ndarray):
-    """Member-basis ``Pi Q Pi`` minus its clamped diagonal, the nearest point
-    of the coefficient cone, and its trace; None below TRACE_FLOOR."""
-    t = p.trace().real
-    if t < TRACE_FLOOR:
-        return None
-    return p - np.diag(np.maximum(p.diagonal().real, 0.0)), t
-
-
 class _BoundProblem:
     """Distance evaluators in the member basis, from local parts only.
 
@@ -131,7 +126,13 @@ class _BoundProblem:
     computational basis. For Q = kron(A_a) the atoms' matrix H is the
     entrywise product of the local conj(X_a) A_a X_a^T. ``Pi Q Pi`` in the
     member basis is H for a product set, conj(C) H C^T with C = diag(w) V
-    otherwise."""
+    otherwise.
+
+    The parties are stacked on a leading axis, zero-padded to width W:
+    ``ket`` (P, W, N) holds X_a^T and ``bra`` (P, N, W) conj(X_a); ``masks``
+    maps the factors' shapes, full (d, d) or rank-one (1, d), to the entries
+    they fill in a (P, R, W) stack.
+    """
 
     def __init__(self, s: StateSet):
         self.dims = s.dims
@@ -145,91 +146,90 @@ class _BoundProblem:
             index = np.unravel_index(np.arange(self.total), self.dims)
             atoms = [np.eye(d)[i] for d, i in zip(self.dims, index)]
             c = w * s.global_matrix()
+            # M -> left M right pulls a gradient G back as right G left.
             self.coeff = (c.conj(), c.T)
-        # Each map M -> left M right pulls a gradient G back as right G left.
-        self.atoms = [(x.conj(), x.T) for x in atoms]
+        self.ket = np.zeros((s.parties, max(s.dims), len(atoms[0])), complex)
+        for a, x in enumerate(atoms):
+            self.ket[a, :x.shape[1]] = x.T
+        self.masks = {}
+        for rows in (self.dims, (1,) * s.parties):
+            mask = np.zeros((s.parties, max(rows), max(self.dims)), bool)
+            for a, (r, d) in enumerate(zip(rows, self.dims)):
+                mask[a, :r, :d] = True
+            self.masks[tuple(zip(rows, self.dims))] = mask
+        self.bra = np.ascontiguousarray(self.ket.conj().transpose(0, 2, 1))
+        self.off_diagonal = 1.0 - np.eye(s.n_states)
+        # Row a lists the other parties: a + 1, ..., a + P - 1 (mod P).
+        self.others = (np.arange(s.parties)[:, None]
+                       + np.arange(1, s.parties)) % s.parties
 
-    def _member_matrix(self, psd):
-        local = [bra @ a @ ket for (bra, ket), a in zip(self.atoms, psd)]
-        p = math.prod(local)
-        if self.coeff is not None:
-            left, right = self.coeff
-            p = left @ p @ right
-        return local, p
+    def members(self, h):
+        """``Pi Q Pi`` in the member basis from the atoms' matrix H."""
+        return h if self.coeff is None else self.coeff[0] @ h @ self.coeff[1]
 
     def delta(self, psd) -> float:
         """Scaled zonotope distance of kron(psd); 0 below TRACE_FLOOR."""
-        found = _residual(self._member_matrix(psd)[1])
-        if found is None:
+        full = self.masks[tuple((d, d) for d in self.dims)]
+        parts = np.zeros(full.shape, complex)
+        parts[full] = np.concatenate([np.ravel(a) for a in psd])
+        p = self.members((self.bra @ parts @ self.ket).prod(axis=0))
+        t = p.trace().real
+        if t < TRACE_FLOOR:
             return 0.0
-        m, t = found
-        return float(np.linalg.norm(m) / t)
-
-    def delta_sq_grad(self, psd):
-        """Squared distance and its gradient G_a on each local part, with
-        df = Re sum(conj(G_a) * dA_a).
-
-        The nearest zonotope point is locally constant in the operator
-        (envelope property of the coordinatewise minimizer), so it is held
-        fixed under differentiation.
-        """
-        local, p = self._member_matrix(psd)
-        found = _residual(p)
-        if found is None:
-            return 0.0, [np.zeros_like(a) for a in psd]
-        m, t = found
-        num = np.vdot(m, m).real
-        g = (2.0 / t**2) * m - (2.0 * num / t**3) * np.eye(len(m))
-        if self.coeff is not None:
-            left, right = self.coeff
-            g = right @ g @ left
-        gt = g.T  # the entrywise factor enters transposed: g * others^T
-        grads = [ket @ (gt * math.prod(local[:a] + local[a + 1:])).T @ bra
-                 for a, (bra, ket) in enumerate(self.atoms)]
-        return num / t**2, grads
-
-
-def _radius_sq_grad(psd):
-    """Squared distance of kron(psd) from the identity, and its gradient on
-    each local part; both factorize, as |Q|^2 / Tr(Q)^2 = prod |A|^2 / prod
-    Tr(A)^2."""
-    norms = [np.vdot(a, a).real for a in psd]
-    traces = [a.trace().real for a in psd]
-    ratio = math.prod(norms) / math.prod(traces) ** 2
-    grads = [(2.0 * ratio / n) * a - (2.0 * ratio / t) * np.eye(len(a))
-             for a, n, t in zip(psd, norms, traces)]
-    return ratio - 1.0 / math.prod(len(a) for a in psd), grads
+        return float(np.linalg.norm(p * self.off_diagonal) / t)
 
 
 def _pack(factors) -> np.ndarray:
-    return np.concatenate(
-        [np.concatenate([f.real.ravel(), f.imag.ravel()]) for f in factors]
-    )
+    """The complex factors, concatenated, as floats (re/im interleaved)."""
+    return np.concatenate([np.ravel(f) for f in factors],
+                          dtype=complex).view(float)
 
 
 def _unpack(x: np.ndarray, shapes) -> list[np.ndarray]:
-    out, pos = [], 0
-    for shape in shapes:
-        size = shape[0] * shape[1]
-        re = x[pos:pos + size].reshape(shape)
-        im = x[pos + size:pos + 2 * size].reshape(shape)
-        out.append(re + 1j * im)
-        pos += 2 * size
-    return out
+    z = np.asarray(x, dtype=float).view(complex)
+    ends = np.cumsum([r * d for r, d in shapes])
+    return [z[e - r * d:e].reshape(r, d) for (r, d), e in zip(shapes, ends)]
 
 
 def _objective(x, problem: _BoundProblem, shapes, weight, rsq_target):
-    """Penalized squared distance and its gradient in factor parameters."""
-    factors = _unpack(x, shapes)
-    psd = [f.conj().T @ f for f in factors]
-    value, grads = problem.delta_sq_grad(psd)
+    """Penalized squared distance and its gradient in factor parameters.
+
+    One pass over the padded factor stack L, with no loop over parties:
+    |m|^2 / t^2, m the off-diagonal part of ``Pi Q Pi`` and t its trace,
+    plus weight * (R^2 - rsq_target)^2, R^2 = prod |A_a|^2 / prod Tr(A_a)^2
+    - 1/D. Gradients G satisfy df = Re sum(conj(G) * dX).
+    """
+    mask = problem.masks[tuple(shapes)]
+    f = np.zeros(mask.shape, complex)
+    f[mask] = np.asarray(x, dtype=float).view(complex)
+    y = f @ problem.ket  # Y_a = L_a X_a^T, so local_a = Y_a^dag Y_a
+    local = y.conj().transpose(0, 2, 1) @ y
+    p = problem.members(local.prod(axis=0))
+    t = p.trace().real
+    if t < TRACE_FLOOR:
+        value, grad = 0.0, np.zeros_like(f)
+    else:
+        m = p * problem.off_diagonal
+        value = np.vdot(m, m).real / t**2
+        g = (2.0 / t**2) * m
+        np.fill_diagonal(g, -2.0 * value / t)
+        if problem.coeff is not None:
+            g = problem.coeff[1] @ g @ problem.coeff[0]
+        # local_a's gradient is g * O_a^T, O_a the other parties' product.
+        others = local[problem.others].prod(axis=1)
+        # dA = dL^dag L + L^dag dL, so the gradient in L is 2 L G.
+        grad = 2.0 * (y @ (g * others.transpose(0, 2, 1)) @ problem.bra)
     if weight:
-        rsq, radial = _radius_sq_grad(psd)
-        gap = rsq - rsq_target
+        # With B = L L^dag: |A|^2 = |B|^2 and Tr A = |L|^2 = Tr B.
+        b = f @ f.conj().transpose(0, 2, 1)
+        bf = b @ f
+        norms = (f.conj() * bf).real.sum(axis=(1, 2), keepdims=True)
+        traces = b.trace(axis1=1, axis2=2).real[:, None, None]
+        ratio = norms.prod() / traces.prod() ** 2
+        gap = ratio - 1.0 / problem.total - rsq_target
         value = value + weight * gap * gap
-        grads = [g + (2.0 * weight * gap) * r for g, r in zip(grads, radial)]
-    # dA = dL^dag L + L^dag dL, so the gradient in L is 2 L G.
-    return value, _pack([2.0 * f @ g for f, g in zip(factors, grads)])
+        grad = grad + (8.0 * weight * gap * ratio) * (bf / norms - f / traces)
+    return value, grad[mask].view(float)
 
 
 def _rescale_factors(factors):
@@ -301,7 +301,7 @@ def _restart(problem: _BoundProblem, r_target: float,
         # Only multiples of the identity sit at radius zero.
         return 0.0, True
     rank_one = abs(r_target - max_radius(problem.total)) < 1e-12
-    shapes = [(1, d) if rank_one else (d, d) for d in problem.dims]
+    shapes = tuple((1, d) if rank_one else (d, d) for d in problem.dims)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=opts.seed, spawn_key=(*seed_key, k))
     )

@@ -25,6 +25,7 @@ from nlwe.families import (
     two_qubit_demo,
 )
 
+import objective_reference as reference
 from dense_reference import (
     ProductOperator,
     discrimination_operator,
@@ -54,6 +55,19 @@ def halder_full():
 
 def gentiles1_4():
     return gentiles1(4)
+
+
+def product_2x3():
+    """Five orthogonal product states on C^2 x C^3 with unequal priors;
+    |0 - 1>|2> completes the basis."""
+    return StateSet((2, 3), [([1, 0], [1, 0, 0]), ([1, 0], [0, 1, 0]),
+                             ([0, 1], [1, 1, 0]), ([0, 1], [1, -1, 0]),
+                             ([1, 1], [0, 0, 1])],
+                    [0.3, 0.2, 0.2, 0.15, 0.15])
+
+
+def seven_qubits():
+    return StateSet((2,) * 7, [([1, 0],) * 7, ([0, 1],) * 7])
 
 
 def random_product_operator(dims, rng, sigma=0.5):
@@ -279,6 +293,8 @@ GRADIENT_INPUTS = {
     "tiles": (tiles, False),
     "halder-full": (halder_full, False),
     "phased-bell-rank-one": (phased_bell, True),
+    "product-2x3": (product_2x3, False),
+    "seven-qubits": (seven_qubits, False),
 }
 
 
@@ -321,6 +337,83 @@ class TestGradient:
         back = _unpack(_pack(factors), shapes)
         for a, b in zip(factors, back):
             assert np.allclose(a, b)
+
+
+# State sets the stacked objective is checked on against the per-party
+# reference: entangled and product, equal and unequal local dimensions, two,
+# three and seven parties.
+OBJECTIVE_CASES = {
+    "bell": bell_states,
+    "phased-bell": phased_bell,
+    "tiles": tiles,
+    "halder-full": halder_full,
+    "gentiles1-4": gentiles1_4,
+    "product-2x3": product_2x3,
+    "seven-qubits": seven_qubits,
+}
+
+
+class TestObjectiveReference:
+    """The stacked kernel against the per-party form it replaced."""
+
+    @staticmethod
+    def evaluate(s, factors, weight, target=0.2):
+        """(value, gradient as one complex vector) from each kernel; each
+        gradient is read through its own layout's ``_unpack``."""
+        shapes = [f.shape for f in factors]
+        out = []
+        for problem, objective, pack, unpack in (
+                (_BoundProblem(s), _objective, _pack, _unpack),
+                (reference.ReferenceProblem(s), reference._objective,
+                 reference._pack, reference._unpack)):
+            value, grad = objective(pack(factors), problem, shapes, weight,
+                                    target)
+            out.append((value, np.concatenate(
+                [g.ravel() for g in unpack(grad, shapes)])))
+        return out
+
+    @pytest.mark.parametrize("weight", [0.0, 10.0])
+    @pytest.mark.parametrize("rank_one", [False, True],
+                             ids=["full", "rank-one"])
+    @pytest.mark.parametrize("case", sorted(OBJECTIVE_CASES))
+    def test_matches_reference(self, rng, case, rank_one, weight):
+        s = OBJECTIVE_CASES[case]()
+        shapes = [(1, d) if rank_one else (d, d) for d in s.dims]
+        for _ in range(5):
+            # Around the all-ones factor every member overlaps Q, so the
+            # residual is not small against the trace. The reference keeps
+            # the rounding of the diagonal's imaginary part in its residual,
+            # which would otherwise dominate its gradient.
+            factors = [np.ones(shape) + 0.5 * (rng.normal(size=shape)
+                                               + 1j * rng.normal(size=shape))
+                       for shape in shapes]
+            (value, grad), (ref_value, ref_grad) = self.evaluate(
+                s, factors, weight)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
+            assert np.linalg.norm(grad - ref_grad) \
+                <= 1e-10 * np.linalg.norm(ref_grad)
+
+    @pytest.mark.parametrize("rank_one", [False, True],
+                             ids=["full", "rank-one"])
+    def test_below_trace_floor(self, rng, rank_one):
+        # A_0 = |0><0| and A_1 = |1><1| leave Q no overlap with |0...0> or
+        # |1...1>, whatever the other parties' parts.
+        s = seven_qubits()
+        rows = 1 if rank_one else 2
+        top = np.eye(rows)[0]
+        factors = [np.outer(top, [1, 0]), np.outer(top, [0, 1])] + [
+            rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+            for _ in range(5)]
+        for value, grad in self.evaluate(s, factors, 0.0):
+            assert value == 0.0
+            assert not grad.any()
+        # Only the radius penalty is left. Rank-one parts sit at the largest
+        # radius, where its gradient vanishes up to rounding.
+        (value, grad), (ref_value, ref_grad) = self.evaluate(s, factors, 10.0)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
+        if not rank_one:
+            assert np.linalg.norm(grad - ref_grad) \
+                <= 1e-10 * np.linalg.norm(ref_grad)
 
 
 def sampled_min_distance(s, radius, n_samples, rng, chunk=5000):
@@ -484,7 +577,7 @@ class TestMemberBasis:
             assert 0.0 <= error_lower_bound(s, FAST_OPTS).p_err_lower <= 0.5
 
     def test_more_than_six_parties(self):
-        s = StateSet((2,) * 7, [([1, 0],) * 7, ([0, 1],) * 7])
+        s = seven_qubits()
         opts = OptimizerOptions(r_steps=3, restarts=2, refine_levels=0)
         res = error_lower_bound(s, opts)
         assert len(res.r_grid) == 3
