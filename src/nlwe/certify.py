@@ -114,10 +114,10 @@ def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
     so one dyad per distinct (ket, ket) is ranked; tile constructions reuse
     each local ket across many members.
 
-    Prefixes P of d^2, 2 d^2, ... rows, in a fixed pseudo-random order and
-    at most a quarter of the stack, are ranked until one settles the whole
-    stack S, which is ranked itself only when none does; prefixes that
-    settle nothing add under half of S's rows. With tol = ``DEFAULT_RANK_TOL``,
+    Prefixes P of d^2 + d, 2 (d^2 + d), ... rows, in a fixed pseudo-random
+    order and at most a quarter of the stack, are ranked until one settles
+    the whole stack S, which is ranked itself only when none does; prefixes
+    that settle nothing add under half of S's rows. With tol = ``DEFAULT_RANK_TOL``,
     sigma_k(S) >= sigma_k(P) and sigma_1(S) <= F = ||S||_F give
     rank >= #{sigma_k(P) > tol F}; sigma_{d^2}(S) <= tau, the norm of S's
     identity component, gives rank <= d^2 - 1 when tau <= tol sigma_1(P).
@@ -146,9 +146,12 @@ def _prefix_rank(kets: np.ndarray, ids: np.ndarray) -> int | None:
 
     Row r of the stack is the dyad of kets ``ids[r] // K`` and
     ``ids[r] % K``, for K = ``len(kets)``; see :func:`dyad_span_rank`.
+    The first prefix has d rows to spare over the d^2 - 1 a saturated party
+    must show: with one row to spare, scrambled GenTiles1 prefixes were
+    often exactly rank-deficient and cost a second, twice larger SVD.
     """
     k, d = kets.shape
-    rows = d * d
+    rows = d * d + d
     if 4 * rows > len(ids):
         return None
     # ||S||_F and tau from the kets alone: ||a><b||_F = ||a|| ||b|| and

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import normalized, tensor
+from .linalg import normalized, row_norms, tensor
 
 ORTHOGONALITY_TOL = 1e-10
 PRIOR_SUM_TOL = 1e-10
@@ -32,44 +32,45 @@ def is_plain_int(x) -> bool:
 class StateSet:
     """Mutually orthogonal pure states with priors on a multipartite space.
 
+    A product set holds one read-only (N, d_a) complex array per party, the
+    members' local kets as rows: ``local_matrix`` returns it, and ``states``
+    and ``local_state`` return row views of it. A set with an entangled
+    member keeps one tuple of read-only kets per member instead.
+
     Kets are normalized on construction, so families may be written down with
-    whatever scale factors are convenient. Validation checks that priors are
-    finite, positive and sum to one, and that all global states are pairwise
-    orthogonal; pass ``validate=False`` only for deliberately non-orthogonal
-    test inputs.
+    whatever scale factors are convenient; a product set's are normalized
+    and checked party by party, on those arrays. Validation checks that
+    priors are finite, positive and sum to one, and that all global states
+    are pairwise orthogonal; pass ``validate=False`` only for deliberately
+    non-orthogonal test inputs.
     """
 
-    __slots__ = ("dims", "states", "priors")
+    __slots__ = ("dims", "priors", "_kets", "_members")
 
     def __init__(self, dims, states, priors=None, *, validate: bool = True):
-        if not all(map(is_plain_int, dims := tuple(dims))):
-            raise ValueError(f"dims {dims!r} must be integers")
-        dims = tuple(int(d) for d in dims)
-        if len(dims) < 1 or any(d < 1 for d in dims):
-            raise ValueError("need at least one party with local dimension >= 1")
-        total = math.prod(dims)
-        packed = []
-        for m, entry in enumerate(states):
-            kets = tuple(normalized(k) for k in entry)
-            if len(kets) == len(dims):
-                if tuple(k.size for k in kets) != dims:
-                    raise ValueError(
-                        f"state {m}: local dimensions "
-                        f"{tuple(k.size for k in kets)} do not match {dims}"
-                    )
-            elif len(kets) == 1 and kets[0].size == total:
-                pass  # entangled member, stored as a global ket
-            else:
-                raise ValueError(
-                    f"state {m}: expected {len(dims)} local kets or a single "
-                    f"{total}-dimensional ket"
-                )
-            for k in kets:
-                k.setflags(write=False)
-            packed.append(kets)
-        if not packed:
+        dims = _checked_dims(dims)
+        entries = [tuple(entry) for entry in states]
+        if entries and all(len(entry) == len(dims) for entry in entries):
+            kets = _unit_columns(dims, [_column(c) for c in zip(*entries)])
+            members = None
+        else:
+            kets = None
+            members = tuple(_member_kets(m, entry, dims)
+                            for m, entry in enumerate(entries))
+        self._setup(dims, kets, members, priors, validate)
+
+    @classmethod
+    def _from_kets(cls, dims, kets, priors=None) -> "StateSet":
+        """Validated product set from one (N, d_a) ket array per party."""
+        dims = _checked_dims(dims)
+        s = cls.__new__(cls)
+        s._setup(dims, _unit_columns(dims, kets), None, priors, True)
+        return s
+
+    def _setup(self, dims, kets, members, priors, validate):
+        n = len(members) if kets is None else len(kets[0])
+        if n == 0:
             raise ValueError("state set is empty")
-        n = len(packed)
         if priors is None:
             priors = np.full(n, 1.0 / n)
         priors = np.asarray(priors, dtype=float).reshape(-1)
@@ -81,7 +82,8 @@ class StateSet:
             raise ValueError(f"priors sum to {priors.sum()!r}, expected 1")
         priors.setflags(write=False)
         self.dims = dims
-        self.states = tuple(packed)
+        self._kets = kets
+        self._members = members
         self.priors = priors
         if validate:
             self._check_orthogonality()
@@ -97,45 +99,66 @@ class StateSet:
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.priors)
 
     @property
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
+    @property
+    def states(self) -> tuple:
+        """Each member's kets: one per party, or one global ket.
+
+        A product set builds these row views on first use and keeps them.
+        """
+        if self._members is None:
+            object.__setattr__(self, "_members", tuple(zip(*self._kets)))
+        return self._members
+
     def is_product(self, m: int) -> bool:
         """Whether state ``m`` is stored as one ket per party."""
-        return len(self.states[m]) == self.parties
+        if self._kets is None:
+            return len(self._members[m]) == self.parties
+        if not -self.n_states <= m < self.n_states:
+            raise IndexError(f"state {m} out of range")
+        return True
 
     @property
     def all_product(self) -> bool:
-        return all(self.is_product(m) for m in range(self.n_states))
+        return self._kets is not None
 
     def local_state(self, m: int, party: int) -> np.ndarray:
+        if self._kets is not None:
+            return self._kets[party][m]
         if not self.is_product(m):
             raise ValueError(f"state {m} has no product form")
-        return self.states[m][party]
+        return self._members[m][party]
 
     def local_matrix(self, party: int) -> np.ndarray:
-        """Every member's local ket on ``party`` stacked as rows, (N, d)."""
-        return np.vstack([self.local_state(m, party)
-                          for m in range(self.n_states)])
+        """Every member's local ket on ``party`` as rows, (N, d), read-only.
+
+        This is the set's own array, not a copy.
+        """
+        if self._kets is None:
+            m = next(m for m in range(self.n_states) if not self.is_product(m))
+            raise ValueError(f"state {m} has no product form")
+        return self._kets[party]
 
     def global_state(self, m: int) -> np.ndarray:
-        kets = self.states[m]
-        if len(kets) == 1:
-            return kets[0]
-        return tensor(kets)
+        kets = (self._members[m] if self._kets is None
+                else [v[m] for v in self._kets])
+        return kets[0] if len(kets) == 1 else tensor(kets)
 
     def global_matrix(self) -> np.ndarray:
         """All global states stacked as rows, shape (N, total_dim)."""
+        if self._kets is not None:
+            return _row_tensor(self._kets)
         return np.vstack([self.global_state(m) for m in range(self.n_states)])
 
     def _check_orthogonality(self):
         # A product set's Gram matrix is the entrywise product of the
         # parties' local Gram matrices, so no global ket is formed.
-        factors = ([self.local_matrix(a) for a in range(self.parties)]
-                   if self.all_product else [self.global_matrix()])
+        factors = self._kets or [self.global_matrix()]
         overlap = np.abs(math.prod(v.conj() @ v.T for v in factors))
         bad = np.argwhere(np.triu(overlap > ORTHOGONALITY_TOL, k=1))
         if bad.size:
@@ -144,6 +167,72 @@ class StateSet:
                 f"states {i} and {j} are not orthogonal: "
                 f"|<i|j>| = {overlap[i, j]:.3e}"
             )
+
+
+def _checked_dims(dims) -> tuple[int, ...]:
+    if not all(map(is_plain_int, dims := tuple(dims))):
+        raise ValueError(f"dims {dims!r} must be integers")
+    dims = tuple(int(d) for d in dims)
+    if len(dims) < 1 or any(d < 1 for d in dims):
+        raise ValueError("need at least one party with local dimension >= 1")
+    return dims
+
+
+def _member_kets(m: int, entry, dims) -> tuple[np.ndarray, ...]:
+    """Member ``m``'s kets, normalized and read-only, after its checks."""
+    kets = tuple(normalized(k) for k in entry)
+    if len(kets) == len(dims):
+        if tuple(k.size for k in kets) != dims:
+            raise ValueError(
+                f"state {m}: local dimensions "
+                f"{tuple(k.size for k in kets)} do not match {dims}"
+            )
+    elif len(kets) != 1 or kets[0].size != math.prod(dims):
+        raise ValueError(
+            f"state {m}: expected {len(dims)} local kets or a single "
+            f"{math.prod(dims)}-dimensional ket"
+        )
+    for k in kets:
+        k.setflags(write=False)
+    return kets
+
+
+def _column(kets):
+    """One party's kets, one per member, as an (N, d) complex array; a list
+    of flat kets when their sizes differ."""
+    rows = [np.asarray(k, dtype=complex).reshape(-1) for k in kets]
+    return np.array(rows) if len({r.size for r in rows}) == 1 else rows
+
+
+def _unit_columns(dims, columns) -> tuple[np.ndarray, ...]:
+    """Each party's (N, d_a) kets with unit, read-only rows.
+
+    Shapes, finiteness and norms are checked on each party's whole array.
+    When one fails, the members are checked one at a time instead, which
+    raises the error of the first faulty member.
+    """
+    units = []
+    for d, v in zip(dims, columns):
+        shaped = isinstance(v, np.ndarray) and v.shape[1] == d
+        norms = row_norms(v) if shaped else None
+        if not shaped or not np.all(np.isfinite(norms) & (norms > 0)):
+            for m, entry in enumerate(zip(*columns)):
+                _member_kets(m, entry, dims)
+            raise AssertionError("a faulty ket passed its member's checks")
+        # Row m is bit-identical to normalized(v[m]).
+        v = v / norms[:, None]
+        v.setflags(write=False)
+        units.append(v)
+    return tuple(units)
+
+
+def _row_tensor(stacks) -> np.ndarray:
+    """Row-wise tensor product of (N, d_i) stacks, first slowest-varying;
+    row m is bit-identical to ``tensor`` of the stacks' rows m."""
+    out = stacks[0]
+    for v in stacks[1:]:
+        out = (out[:, :, None] * v[:, None, :]).reshape(len(out), -1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -204,13 +293,19 @@ def merge_cut(s: StateSet, cut: PartyCut) -> StateSet:
 
     Each block becomes one party whose local ket is the tensor product of its
     members; global states are unchanged apart from the index reordering
-    induced by the block ordering.
+    induced by the block ordering. A product set's blocks are formed as
+    row-wise Kronecker products of the parties' ket arrays.
     """
     if cut.parties != s.parties:
         raise ValueError(
             f"cut covers {cut.parties} parties but the set has {s.parties}"
         )
     new_dims = tuple(math.prod(s.dims[i] for i in b) for b in cut.blocks)
+    if s.all_product:
+        return StateSet._from_kets(
+            new_dims,
+            [_row_tensor([s.local_matrix(i) for i in b]) for b in cut.blocks],
+            s.priors)
     perm = [i for b in cut.blocks for i in b]
     entries = []
     for m in range(s.n_states):
@@ -406,13 +501,33 @@ def from_payload(payload: dict) -> StateSet:
         if not all(map(is_plain_int, dims)):
             raise ValueError(f"dims {dims!r} must be integers")
         priors = [float(p) for p in payload["priors"]]
-        states = [
-            [np.array([complex(re, im) for re, im in ket]) for ket in entry]
-            for entry in payload["states"]
-        ]
+        kets = _payload_kets(payload["states"], len(dims))
+        if kets is None:
+            states = [
+                [np.array([complex(re, im) for re, im in ket]) for ket in entry]
+                for entry in payload["states"]
+            ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state-set payload: {exc}") from exc
-    return StateSet(dims, states, priors)
+    if kets is None:
+        return StateSet(dims, states, priors)
+    return StateSet._from_kets(dims, kets, priors)
+
+
+def _payload_kets(states, parties: int) -> list[np.ndarray] | None:
+    """Each party's kets as one (N, d) complex array, from one ``np.array``
+    of its [re, im] number pairs; None when the payload's members are not
+    all ``parties`` kets of equal length per party made of such pairs."""
+    try:
+        arrays = [np.array(column) for column in zip(*states, strict=True)]
+    except (TypeError, ValueError):
+        return None
+    # Strings would parse as floats; complex(re, im) refuses them.
+    if len(arrays) != parties or any(
+            v.ndim != 3 or v.shape[2] != 2 or v.dtype.kind not in "biuf"
+            for v in arrays):
+        return None
+    return [v.astype(float).view(complex)[..., 0] for v in arrays]
 
 
 def save(s: StateSet, path) -> None:

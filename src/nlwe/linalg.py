@@ -28,12 +28,30 @@ def as_ket(v) -> np.ndarray:
 
 
 def normalized(v) -> np.ndarray:
-    """Unit-norm copy of a ket."""
+    """Unit-norm copy of a ket; a norm that overflows is refused."""
     ket = as_ket(v)
-    norm = np.linalg.norm(ket)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(ket)
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
+    if not np.isfinite(norm):
+        raise ValueError("ket norm overflows")
     return ket / norm
+
+
+def row_norms(v) -> np.ndarray:
+    """2-norm of each row of an (N, d) complex stack.
+
+    Each is bit-identical to ``np.linalg.norm`` of the row, which is the
+    square root of the real and imaginary parts' dot products: ``matmul``
+    of a row with itself takes the same dot product as ``ndarray.dot``.
+    A norm that overflows is inf and a row with a non-finite entry gives
+    nan or inf, without a warning.
+    """
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return np.sqrt(sq[:, 0, 0])
 
 
 def tensor(kets: Sequence) -> np.ndarray:

@@ -313,9 +313,9 @@ class TestDyadSpanRank:
     def test_ranks_distinct_ket_pairs_only(self, monkeypatch):
         rows = decomposed_rows(monkeypatch)
         cert = certify(gentiles1(8))
-        # 336 distinct dyads per party, of which the first 64-row prefix
+        # 336 distinct dyads per party, of which the first 72-row prefix
         # already spans the traceless space.
-        assert rows == [64, 64]
+        assert rows == [72, 72]
         assert max(rows) <= 336
         assert [r.to_dict()["pair_count"] for r in cert.records] == [1072, 1072]
 
@@ -328,8 +328,23 @@ class TestDyadSpanRank:
             pairs = exclusive_pairs(s, party)
             rows = decomposed_rows(monkeypatch)
             rank = dyad_span_rank(s, party, pairs)
-            assert rows[0] == n * n
+            assert rows[0] == n * n + n
             assert rank == full_stack_rank(s, party, pairs) == n * n - 1
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_first_prefix_settles_scrambled_gentiles(self, monkeypatch, n):
+        # With d^2 rows the first prefix was often exactly rank-deficient
+        # on these sets, and a second SVD of 2 d^2 rows followed.
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            s = gentiles1(n)
+            s = apply_local_unitaries(s, [haar_unitary(d, rng) for d in s.dims])
+            s = permute_states(s, rng.permutation(s.n_states))
+            for party in range(s.parties):
+                pairs = exclusive_pairs(s, party)
+                rows = decomposed_rows(monkeypatch)
+                assert dyad_span_rank(s, party, pairs) == n * n - 1
+                assert rows == [n * n + n]
 
     def test_streamed_rank_falls_back_when_bounds_never_meet(self, rng,
                                                              monkeypatch):
@@ -344,7 +359,7 @@ class TestDyadSpanRank:
         pairs = [(i, j) for i in range(12) for j in range(12) if i != j]
         rows = decomposed_rows(monkeypatch)
         assert dyad_span_rank(s, 0, pairs) == 9
-        assert rows == [16, 32, 132]
+        assert rows == [20, 132]
         assert full_stack_rank(s, 0, pairs) == 9
 
     def test_streamed_rank_on_non_exclusive_pairs(self, rng):

@@ -164,6 +164,19 @@ class TestCertify:
         assert (code, out) == (2, "")
         assert "malformed state-set payload" in err
 
+    def test_overflowing_ket_file_rejected(self, tmp_path, capsys):
+        # The norm of [1e308, 0] overflows; dividing by it would turn the
+        # ket into zeros, which pass the orthogonality check.
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "version": 1, "dims": [2, 2], "priors": [0.5, 0.5],
+            "states": [[[[1e308, 0.0], [1e308, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                       [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "certify", str(path))
+        assert (code, out) == (2, "")
+        assert "ket norm overflows" in err
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "certify", "no-such-file.json")
         assert code == 2

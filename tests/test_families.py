@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import nlwe.families as families_module
 from nlwe.families import (
     ORTHOGONALITY_TOL,
     PartyCut,
@@ -19,7 +20,13 @@ from nlwe.families import (
     two_qubit_demo,
 )
 
+import conftest
 from conftest import apply_local_unitaries, haar_unitary
+from stateset_reference import (
+    ReferenceStateSet,
+    reference_from_payload,
+    reference_merge_cut,
+)
 
 
 def assert_pairwise_orthogonal(s, tol=ORTHOGONALITY_TOL):
@@ -70,6 +77,27 @@ class TestStateSet:
                 assert np.array_equal(v[m], s.local_state(m, party))
         with pytest.raises(ValueError, match="product form"):
             bell_states().local_matrix(0)
+
+    def test_local_matrix_read_only(self):
+        for s in (tiles(), merge_cut(halder_states("full"),
+                                     PartyCut(((0,), (1, 2))))):
+            for party in range(s.parties):
+                v = s.local_matrix(party)
+                assert not v.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    v[0, 0] = 1.0
+                assert not s.local_state(0, party).flags.writeable
+
+    @pytest.mark.parametrize("states", [
+        [([1e308, 0.0], [1.0, 0.0]), ([0.0, 1.0], [0.0, 1.0])],
+        [([1.0, 0.0], [1.0, 0.0]), ([0.0, 1e200], [1e200, 1e200])],
+        [([1e308, 1e308, 0.0, 0.0],), ([0.0, 0.0, 1.0, 0.0],)],
+    ])
+    def test_rejects_overflowing_norm(self, states):
+        # Dividing by an infinite norm would store a zero ket, which passes
+        # the orthogonality check.
+        with pytest.raises(ValueError, match="ket norm overflows"):
+            StateSet((2, 2), states)
 
     def test_unchecked_construction_allowed(self):
         s = StateSet((2,), [([1, 0],), ([1, 1],)], validate=False)
@@ -317,3 +345,243 @@ class TestFileRoundTrip:
         path.write_text("{not json")
         with pytest.raises(ValueError, match="JSON"):
             load(path)
+
+
+def error_of(build):
+    """(type, message) of the exception ``build()`` raises, or None."""
+    try:
+        build()
+    except Exception as exc:  # compared with the reference's, not handled
+        return type(exc), str(exc)
+    return None
+
+
+def assert_same_layout(s, ref):
+    """Bit-identical dims, priors and stored kets of a set and its reference."""
+    assert s.dims == ref.dims
+    assert np.array_equal(s.priors, ref.priors)
+    assert s.n_states == ref.n_states
+    assert s.all_product == ref.all_product
+    for m in range(s.n_states):
+        assert len(s.states[m]) == len(ref.states[m])
+        for a, b in zip(s.states[m], ref.states[m]):
+            assert a.dtype == b.dtype == complex
+            assert np.array_equal(a, b)
+    if s.all_product:
+        for party in range(s.parties):
+            assert np.array_equal(s.local_matrix(party),
+                                  ref.local_matrix(party))
+    assert np.array_equal(s.global_matrix(), ref.global_matrix())
+
+
+NAMED_FAMILIES = [
+    two_qubit_demo, bell_states, tiles,
+    lambda: rotated_dominoes(0.3, 0.2, 0.7, math.pi / 4),
+    lambda: halder_states("full"), lambda: halder_states("reduced12"),
+    lambda: halder_states("omit_diag24"),
+    lambda: gentiles1(4), lambda: gentiles1(6), lambda: gentiles1(10),
+]
+
+
+def random_entries(rng, dims, n):
+    return [tuple(rng.normal(size=d) * 10 ** rng.uniform(-3, 3)
+                  + 1j * rng.normal(size=d) for d in dims) for _ in range(n)]
+
+
+class TestLayoutOracle:
+    """The per-party layout against the per-member reference."""
+
+    @pytest.mark.parametrize("build", NAMED_FAMILIES)
+    def test_named_families(self, build, monkeypatch):
+        s = build()
+        monkeypatch.setattr(families_module, "StateSet", ReferenceStateSet)
+        assert_same_layout(s, build())
+
+    def test_random_product_sets(self, rng):
+        for _ in range(40):
+            dims = tuple(int(d) for d in rng.integers(1, 6, rng.integers(2, 5)))
+            entries = random_entries(rng, dims, int(rng.integers(1, 12)))
+            priors = rng.random(len(entries)) + 0.1
+            priors /= priors.sum()
+            assert_same_layout(
+                StateSet(dims, entries, priors, validate=False),
+                ReferenceStateSet(dims, entries, priors, validate=False))
+
+    @staticmethod
+    def scrambled(s, unitaries, monkeypatch):
+        """``s`` under local unitaries, and the same entries as a reference."""
+        got = apply_local_unitaries(s, unitaries)
+        with monkeypatch.context() as patch:
+            patch.setattr(conftest, "StateSet", ReferenceStateSet)
+            return got, apply_local_unitaries(s, unitaries)
+
+    def test_scrambled_sets(self, rng, monkeypatch):
+        for s in (halder_states("full"), gentiles1(8), tiles(), bell_states()):
+            unitaries = [haar_unitary(d, rng) for d in s.dims]
+            assert_same_layout(*self.scrambled(s, unitaries, monkeypatch))
+
+    def test_halder_bipartitions(self, rng, monkeypatch):
+        s = halder_states("full")
+        with monkeypatch.context() as patch:
+            patch.setattr(families_module, "StateSet", ReferenceStateSet)
+            ref = halder_states("full")
+        for s, ref in ((s, ref),
+                       self.scrambled(s, [haar_unitary(3, rng)
+                                          for _ in range(3)], monkeypatch)):
+            for cut in PartyCut.bipartitions(3):
+                assert_same_layout(merge_cut(s, cut),
+                                   reference_merge_cut(ref, cut))
+
+    def test_random_product_merges(self, rng):
+        # Members (i, j) hold e_i on party 0 and column j of a unitary that
+        # depends on i on party 1, so the set is orthogonal whatever the
+        # other parties hold.
+        for dims in ((2, 3, 1, 2), (3, 2, 2), (2, 2, 3, 4)):
+            unitaries = [haar_unitary(dims[1], rng) for _ in range(dims[0])]
+            entries = [(np.eye(dims[0])[i], unitaries[i][:, j],
+                        *random_entries(rng, dims[2:], 1)[0])
+                       for i in range(dims[0]) for j in range(dims[1])]
+            s = StateSet(dims, entries)
+            ref = ReferenceStateSet(dims, entries)
+            assert_same_layout(s, ref)
+            cuts = PartyCut.bipartitions(len(dims)) + [
+                PartyCut(((0, len(dims) - 1), *((i,) for i in
+                                               range(1, len(dims) - 1))))]
+            for cut in cuts:
+                assert_same_layout(merge_cut(s, cut),
+                                   reference_merge_cut(ref, cut))
+
+    @pytest.mark.parametrize("build", NAMED_FAMILIES + [
+        lambda: apply_local_unitaries(
+            gentiles1(6), [haar_unitary(6, np.random.default_rng(1))] * 2)])
+    def test_saved_files(self, build, tmp_path):
+        path = tmp_path / "set.json"
+        save(build(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert_same_layout(load(path), reference_from_payload(payload))
+
+
+E2, E3 = np.eye(2), np.eye(3)
+BELL = np.array([1.0, 0.0, 0.0, 1.0])
+
+# Constructor inputs that must be refused, each with the message of the
+# member-by-member check. Several hold more than one fault, where the first
+# faulty member's first error wins.
+BAD_ENTRIES = {
+    "wrong local dims": ((2, 3), [(E2[0], E2[0]), (E2[1], E2[1])]),
+    "ragged kets": ((2, 3), [(E2[0], E3[0]), (E2[1], E2[1]), (E2[1], E3[2])]),
+    "too many kets": ((2, 3), [(E2[0], E3[0]), (E2[1], E3[1], E3[2])]),
+    "nan amplitude": ((2, 3), [(E2[0], E3[0]), (E2[1], [0, np.nan, 1])]),
+    "inf amplitude": ((2, 3), [(E2[0], E3[0]), ([np.inf, 0], E3[1])]),
+    "zero ket": ((2, 3), [(E2[0], E3[0]), (E2[1], np.zeros(3))]),
+    "empty ket": ((2, 3), [(E2[0], E3[0]), ([], E3[1])]),
+    "overflowing norm": ((2, 3), [(E2[0], E3[0]), (E2[1], [1e308, 1e308, 0])]),
+    "string amplitude": ((2, 3), [(E2[0], E3[0]), (E2[1], ["a", "b", "c"])]),
+    "empty set": ((2, 3), []),
+    "zero ket before ragged": ((2, 3), [(E2[0], E3[0]), (E2[1], np.zeros(3)),
+                                        (E2[1], E2[1])]),
+    "ragged before zero ket": ((2, 3), [(E2[0], E3[0]), (E2[1], E2[1]),
+                                        (E2[1], np.zeros(3))]),
+    "uniform wrong dims, later zero ket": (
+        (3, 3), [(E2[0], E3[0]), (E2[1], E3[1]), (np.zeros(2), E3[2])]),
+    "uniform wrong dims, first member's zero ket": (
+        (3, 3), [(E2[0], np.zeros(3)), (E2[1], E3[1])]),
+    "mixed set with a zero ket": ((2, 2), [(E2[0], E2[0]), (BELL,),
+                                           (np.zeros(2), E2[1])]),
+    "mixed set, bad global ket": ((2, 2), [(E2[0], E2[0]), (E3[0],)]),
+    "not orthogonal": ((2, 3), [(E2[0], E3[0]), (E2[0], E3[0] + E3[1])]),
+}
+
+
+def tiles_payload():
+    return json.loads(json.dumps(families_module.to_payload(tiles())))
+
+
+def edited(edit):
+    payload = tiles_payload()
+    edit(payload)
+    return payload
+
+
+def set_pair(member, party, index, pair):
+    def edit(payload):
+        payload["states"][member][party][index] = pair
+    return edit
+
+
+BAD_PAYLOADS = {
+    "string pair": edited(set_pair(1, 0, 0, ["1", "0"])),
+    "three-element pair": edited(set_pair(2, 1, 2, [1.0, 0.0, 0.0])),
+    "three-element pairs everywhere": edited(lambda p: p.update(states=[
+        [[[*pair, 0.0] for pair in ket] for ket in entry]
+        for entry in p["states"]])),
+    "one-element pair": edited(set_pair(0, 0, 1, [0.5])),
+    "None amplitude": edited(set_pair(3, 1, 0, [None, 0.0])),
+    "nested amplitude": edited(set_pair(3, 1, 0, [[1.0], 0.0])),
+    "ragged kets": edited(lambda p: p["states"][2][0].append([0.0, 0.0])),
+    "wrong local dims": edited(lambda p: p.update(dims=[3, 4])),
+    "zero ket": edited(lambda p: p["states"][4].__setitem__(
+        0, [[0.0, 0.0]] * 3)),
+    "nan amplitude": edited(set_pair(1, 1, 1, [float("nan"), 0.0])),
+    "overflowing norm": edited(set_pair(1, 1, 1, [1e308, 1e308])),
+    "states not a list": edited(lambda p: p.update(states=5)),
+    "entry is a string": edited(lambda p: p["states"].__setitem__(0, "ab")),
+    "no states": edited(lambda p: p.pop("states")),
+    "empty states": edited(lambda p: p.update(states=[], priors=[])),
+    "mixed set, bad global ket": edited(lambda p: p["states"].__setitem__(
+        0, [[[1.0, 0.0]] * 8])),
+}
+
+GOOD_PAYLOADS = {
+    "int and bool amplitudes": edited(lambda p: p["states"].__setitem__(
+        1, [[[1, 0], [False, False], [0, 0]],
+            [[True, False], [-1, 0], [0.0, 0]]])),
+    "mixed product and entangled": {
+        "version": 1, "dims": [2, 2], "priors": [0.25] * 4,
+        "states": [[[[1, 0], [0, 0]], [[1, 0], [0, 0]]],
+                   [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+                   [[[0, 0], [1, 0], [0, 0], [0, 0]]],
+                   [[[0, 0], [0, 0], [0, 0], [1, 0]]]],
+    },
+}
+
+
+class TestLayoutErrors:
+    """Refusals match the per-member reference, message for message."""
+
+    @pytest.mark.parametrize("case", BAD_ENTRIES)
+    def test_constructor(self, case):
+        dims, entries = BAD_ENTRIES[case]
+        expected = error_of(lambda: ReferenceStateSet(dims, entries))
+        assert expected is not None
+        assert error_of(lambda: StateSet(dims, entries)) == expected
+
+    @pytest.mark.parametrize("case", BAD_PAYLOADS)
+    def test_payload(self, case):
+        payload = BAD_PAYLOADS[case]
+        expected = error_of(lambda: reference_from_payload(payload))
+        assert expected is not None
+        assert error_of(lambda: families_module.from_payload(payload)) == expected
+
+    def test_string_pair_still_refused(self):
+        with pytest.raises(ValueError, match="malformed state-set payload"):
+            families_module.from_payload(BAD_PAYLOADS["string pair"])
+
+    @pytest.mark.parametrize("case", GOOD_PAYLOADS)
+    def test_accepted_payload(self, case):
+        payload = GOOD_PAYLOADS[case]
+        assert_same_layout(families_module.from_payload(payload),
+                           reference_from_payload(payload))
+
+    def test_mixed_set_has_no_local_matrix(self):
+        entries = [(E2[0], E2[1]), (E2[1], E2[0]), (BELL,),
+                   (np.array([1.0, 0.0, 0.0, -1.0]),)]
+        s, ref = StateSet((2, 2), entries), ReferenceStateSet((2, 2), entries)
+        assert_same_layout(s, ref)
+        assert [s.is_product(m) for m in range(4)] == [True, True, False, False]
+        for party in range(2):
+            expected = error_of(lambda: ref.local_matrix(party))
+            assert expected == (ValueError, "state 2 has no product form")
+            assert error_of(lambda: s.local_matrix(party)) == expected
+            assert np.array_equal(s.local_state(1, party),
+                                  ref.local_state(1, party))

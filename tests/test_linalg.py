@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlwe.linalg import dyad, numerical_rank, tensor
+from nlwe.linalg import dyad, normalized, numerical_rank, row_norms, tensor
 
 from conftest import haar_unitary
 
@@ -31,6 +31,38 @@ class TestFrobeniusNorm:
             v = haar_unitary(4, rng)
             base = np.linalg.norm(m)
             assert np.linalg.norm(u @ m @ v) == pytest.approx(base, rel=1e-10)
+
+
+class TestNormalized:
+    def test_row_norms_bit_identical_to_norm(self, rng):
+        for d in [*range(1, 40), 64, 81, 243]:
+            for scale in (1e-150, 1e-3, 1.0, 1e5, 1e150):
+                v = scale * (rng.normal(size=(20, d))
+                             + 1j * rng.normal(size=(20, d)))
+                if d % 3 == 0:
+                    v = v.real.astype(complex)
+                expected = np.array([np.linalg.norm(row) for row in v])
+                assert np.array_equal(row_norms(v), expected)
+                assert np.array_equal(v / row_norms(v)[:, None],
+                                      np.array([normalized(r) for r in v]))
+
+    def test_row_norms_of_faulty_rows(self):
+        v = np.array([[1e308, 1e308], [np.nan, 0], [np.inf, 1], [0, 0]],
+                     dtype=complex)
+        norms = row_norms(v)
+        assert norms[0] == np.inf and np.isnan(norms[1])
+        assert norms[2] == np.inf and norms[3] == 0.0
+
+    @pytest.mark.parametrize("ket", [[1e308, 1e308], [1e200, 0, 1e200j]])
+    def test_refuses_overflowing_norm(self, ket):
+        with pytest.raises(ValueError, match="ket norm overflows"):
+            normalized(ket)
+
+    def test_large_finite_norm_kept(self):
+        # The squared norm must stay finite: 1e308 itself is refused.
+        assert np.array_equal(normalized([1e150, 0]), [1, 0])
+        with pytest.raises(ValueError, match="ket norm overflows"):
+            normalized([1e308, 0])
 
 
 class TestTensor:
