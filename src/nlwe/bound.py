@@ -15,15 +15,19 @@ nonconvex; it is attacked by multi-start local descent with a quadratic
 distance penalty, so the reported values are best-effort estimates (upper
 estimates of each inner minimum) rather than certificates. Restarts stop
 early at radii that provably cannot hold the maximum, which leaves the
-bound unchanged. Diagnostics on restarts, convergence, pruned and failed
-radii accompany the result.
+bound unchanged. A descent also stops once its penalized distance falls
+below 1% (``CUT``) of the largest value its sweep has seen. A pruned radius
+can report such a stopped value; every other radius reruns its stopped
+restarts to the end, so the bound is unchanged again. A stopped restart
+counts as converged. Diagnostics on restarts, convergence, pruned and
+failed radii accompany the result.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,6 +36,11 @@ from .families import StateSet, is_plain_int
 # Below this projected trace the scaled distance is defined as zero, which
 # can only lower the reported bound, never overstate it.
 TRACE_FLOOR = 1e-12
+
+# A descent stops once its scaled distance falls below this fraction of the
+# largest value its sweep has seen: only the largest inner minimum enters
+# the bound, and a radius that far below it is pruned.
+CUT = 1e-2
 
 
 def distance_from_identity(q) -> float:
@@ -101,10 +110,13 @@ class BoundResult:
 
     ``delta_r`` holds the best distance found at each radius. Where
     ``diagnostics["pruned"]`` is true, the radius stopped restarting once its
-    running minimum fell below a finished radius's value, so its entry is an
-    upper estimate of what all restarts would give, still strictly below
-    ``diagnostics["max_delta"]``. ``restarts_total``, ``projected_total`` and
-    ``converged_fraction`` count the restarts actually run;
+    running minimum fell below a finished radius's value. Its entry then
+    comes from fewer restarts, and can be the value of a descent stopped
+    once it fell below 1% of the largest value seen (see ``_sweep``). It is
+    the distance of a point at that radius, so still an upper estimate of
+    the radius's minimum, and strictly below ``diagnostics["max_delta"]``.
+    ``restarts_total``, ``projected_total`` and ``converged_fraction``
+    count the restarts actually run, a stopped one as converged;
     ``failed_radii`` counts radii where no restart reached a feasible point,
     which report 0.
     """
@@ -191,13 +203,23 @@ def _unpack(x: np.ndarray, shapes) -> list[np.ndarray]:
     return [z[e - r * d:e].reshape(r, d) for (r, d), e in zip(shapes, ends)]
 
 
-def _objective(x, problem: _BoundProblem, shapes, weight, rsq_target):
+class _Cut(Exception):
+    """A descent reached a point below its cut level; ``x`` is that point."""
+
+    def __init__(self, x):
+        super().__init__()
+        self.x = x
+
+
+def _objective(x, problem: _BoundProblem, shapes, weight, rsq_target,
+               cut_sq=0.0):
     """Penalized squared distance and its gradient in factor parameters.
 
     One pass over the padded factor stack L, with no loop over parties:
     |m|^2 / t^2, m the off-diagonal part of ``Pi Q Pi`` and t its trace,
     plus weight * (R^2 - rsq_target)^2, R^2 = prod |A_a|^2 / prod Tr(A_a)^2
-    - 1/D. Gradients G satisfy df = Re sum(conj(G) * dX).
+    - 1/D. Gradients G satisfy df = Re sum(conj(G) * dX). Raises ``_Cut``
+    at a value below ``cut_sq``, which 0 never is.
     """
     mask = problem.masks[tuple(shapes)]
     f = np.zeros(mask.shape, complex)
@@ -229,6 +251,8 @@ def _objective(x, problem: _BoundProblem, shapes, weight, rsq_target):
         gap = ratio - 1.0 / problem.total - rsq_target
         value = value + weight * gap * gap
         grad = grad + (8.0 * weight * gap * ratio) * (bf / norms - f / traces)
+    if value < cut_sq:
+        raise _Cut(np.array(x, dtype=float))
     return value, grad[mask].view(float)
 
 
@@ -287,19 +311,24 @@ def _project_to_radius(psd, r_target: float):
             for m, c, d in zip(shifts, centers, dims)]
 
 
-def _restart(problem: _BoundProblem, r_target: float,
+def _restart(problem: _BoundProblem, r_target: float, cut: float,
              opts: OptimizerOptions, seed_key: tuple, k: int):
-    """Run restart ``k`` at one radius: (scaled distance or None, converged).
+    """Run restart ``k`` at one radius: (scaled distance or None, converged,
+    stopped).
 
     None means the descent ended at a point that could not be projected onto
-    the radius. Each (seed key, restart) pair has its own seed stream, so a
-    restart returns the same value whatever else runs before it.
+    the radius. The descent stops at its first point whose penalized
+    objective is below ``cut**2``; that point is then placed and measured
+    like a final one, and the restart reports converged and stopped. Each
+    (seed key, restart) pair has its own seed stream, so a restart returns
+    the same value whatever else runs before it, and with ``cut`` 0 it never
+    stops.
     """
     import scipy.optimize as sciopt
 
     if r_target < 1e-14:
         # Only multiples of the identity sit at radius zero.
-        return 0.0, True
+        return 0.0, True, False
     rank_one = abs(r_target - max_radius(problem.total)) < 1e-12
     shapes = tuple((1, d) if rank_one else (d, d) for d in problem.dims)
     rng = np.random.default_rng(
@@ -325,37 +354,54 @@ def _restart(problem: _BoundProblem, r_target: float,
         stages, weight = 1, 0.0
     else:
         stages, weight = opts.penalty_stages, opts.penalty_base
-    converged = True
+    converged, stopped = True, False
     rsq_target = r_target * r_target
     for _ in range(stages):
-        res = sciopt.minimize(
-            _objective, x, args=(problem, shapes, weight, rsq_target),
-            jac=True, method="L-BFGS-B",
-            options={"maxiter": opts.max_iters, "ftol": opts.tol,
-                     "gtol": 1e-12},
-        )
-        converged = converged and bool(res.success)
-        x = _pack(_rescale_factors(_unpack(res.x, shapes)))
+        try:
+            res = sciopt.minimize(
+                _objective, x,
+                args=(problem, shapes, weight, rsq_target, cut * cut),
+                jac=True, method="L-BFGS-B",
+                options={"maxiter": opts.max_iters, "ftol": opts.tol,
+                         "gtol": 1e-12},
+            )
+        except _Cut as stop:
+            x, converged, stopped = stop.x, True, True
+        else:
+            x = res.x
+            converged = converged and bool(res.success)
+        x = _pack(_rescale_factors(_unpack(x, shapes)))
+        if stopped:
+            break
         weight *= 10.0
     psd = [f.conj().T @ f for f in _unpack(x, shapes)]
     if not rank_one:
         psd = _project_to_radius(psd, r_target)
         if psd is None:
-            return None, converged
-    return problem.delta(psd), converged
+            return None, converged, stopped
+    return problem.delta(psd), converged, stopped
 
 
 @dataclass
 class _RadiusRun:
-    """Running state of the restarts at one radius."""
+    """Running state of the restarts at one radius.
+
+    ``held`` maps each stopped restart to its value until it is rerun
+    without a cut; it counts as projected and converged meanwhile.
+    """
 
     radius: float
     key: tuple
-    best: float = math.inf
+    exact: float = math.inf
     restarts: int = 0
     converged: int = 0
     projected: int = 0
     pruned: bool = False
+    held: dict = field(default_factory=dict)
+
+    @property
+    def best(self) -> float:
+        return min([self.exact, *self.held.values()])
 
     @property
     def failed(self) -> bool:
@@ -369,28 +415,56 @@ class _RadiusRun:
 
 
 def _sweep(problem: _BoundProblem, batch, opts: OptimizerOptions,
-           floor: float = -math.inf):
+           floor: float = -math.inf, cut: float = 0.0):
     """Best-first restarts over a batch of (radius, seed key) pairs.
 
     Every radius is probed with restart 0; the radii then finish in
     decreasing order of their probe value. A radius stops early once its
     running minimum drops strictly below ``floor``, the largest final value
     among radii that ran all their restarts: its own minimum is then below
-    the maximum, so it cannot be the argmax. Returns the runs in batch order
-    and the updated floor.
+    the maximum, so it cannot be the argmax.
+
+    Each descent stops at its first point whose penalized objective is below
+    the square of ``cut`` times the largest of ``floor`` and the restart
+    values seen in this sweep, when that is positive: with a small ``cut``,
+    the radius is then far below the maximum. The stopped value is kept
+    only while it can still prune its radius: a stopped restart that cannot
+    be projected is rerun at once without a cut, and a radius reruns its
+    stopped restarts without a cut before its next restart and before it
+    finishes. A finished radius is thus exact, and only a pruned radius can
+    report a stopped value. Returns the runs in batch order and the updated
+    floor.
     """
     runs = [_RadiusRun(float(r), key) for r, key in batch]
+    high = floor
 
-    def step(run):
-        value, converged = _restart(problem, run.radius, opts, run.key,
-                                    run.restarts)
-        run.restarts += 1
+    def run_restart(run, k, level):
+        nonlocal high
+        value, converged, stopped = _restart(problem, run.radius, level,
+                                             opts, run.key, k)
+        if value is None and stopped:
+            value, converged, stopped = _restart(problem, run.radius, 0.0,
+                                                 opts, run.key, k)
         if value is None:
             return
+        high = max(high, value)
         run.projected += 1
         run.converged += int(converged)
-        if value < run.best:
-            run.best = value
+        if stopped:
+            run.held[k] = value
+        else:
+            run.exact = min(run.exact, value)
+
+    def step(run):
+        run_restart(run, run.restarts, cut * high if high > 0 else 0.0)
+        run.restarts += 1
+
+    def settle(run):
+        for k in sorted(run.held):
+            del run.held[k]
+            run.projected -= 1
+            run.converged -= 1
+            run_restart(run, k, 0.0)
 
     for run in runs:
         step(run)
@@ -399,8 +473,12 @@ def _sweep(problem: _BoundProblem, batch, opts: OptimizerOptions,
             if run.best < floor:
                 run.pruned = True
                 break
-            step(run)
+            if run.held:
+                settle(run)
+            else:
+                step(run)
         else:
+            settle(run)
             floor = max(floor, run.value)
     return runs, floor
 
@@ -441,7 +519,9 @@ def error_lower_bound(s: StateSet,
     never be the argmax, so ``p_err_lower``, the argmax and the refinement
     radii are those of a sweep that runs every restart everywhere; only the
     pruned radii's ``delta_r`` differ, being upper estimates that still lie
-    below ``max_delta``.
+    below ``max_delta``. Descents stop once they fall below ``CUT`` times
+    the largest value seen; a pruned radius can report such a stopped value,
+    and every other radius reruns those restarts in full.
     """
     opts = opts or OptimizerOptions()
     problem = _BoundProblem(s)
@@ -452,7 +532,7 @@ def error_lower_bound(s: StateSet,
 
     def run_batch(batch):
         nonlocal floor
-        done, floor = _sweep(problem, batch, opts, floor)
+        done, floor = _sweep(problem, batch, opts, floor, CUT)
         for run in done:  # batch order keeps max() tie-breaking stable
             runs[run.radius] = run
 

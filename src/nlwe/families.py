@@ -507,7 +507,7 @@ def from_payload(payload: dict) -> StateSet:
                 [np.array([complex(re, im) for re, im in ket]) for ket in entry]
                 for entry in payload["states"]
             ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state-set payload: {exc}") from exc
     if kets is None:
         return StateSet(dims, states, priors)

@@ -150,6 +150,6 @@ def reference_from_payload(payload: dict) -> ReferenceStateSet:
             [np.array([complex(re, im) for re, im in ket]) for ket in entry]
             for entry in payload["states"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state-set payload: {exc}") from exc
     return ReferenceStateSet(dims, states, priors)

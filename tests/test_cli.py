@@ -177,6 +177,18 @@ class TestCertify:
         assert (code, out) == (2, "")
         assert "ket norm overflows" in err
 
+    def test_int_amplitude_beyond_float_file_rejected(self, tmp_path,
+                                                      capsys):
+        # Python's json reads the integer exactly; no float can hold it.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "version": 1, "dims": [2, 2], "priors": [1.0],
+            "states": [[[[10**400, 0], [0, 0]], [[1, 0], [0, 0]]]],
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "certify", str(path))
+        assert (code, out) == (2, "")
+        assert "malformed state-set payload" in err
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "certify", "no-such-file.json")
         assert code == 2

@@ -524,6 +524,9 @@ BAD_PAYLOADS = {
         0, [[0.0, 0.0]] * 3)),
     "nan amplitude": edited(set_pair(1, 1, 1, [float("nan"), 0.0])),
     "overflowing norm": edited(set_pair(1, 1, 1, [1e308, 1e308])),
+    "int amplitude beyond float": edited(set_pair(1, 1, 1, [10**400, 0])),
+    "int prior beyond float": edited(lambda p: p["priors"].__setitem__(
+        0, 10**400)),
     "states not a list": edited(lambda p: p.update(states=5)),
     "entry is a string": edited(lambda p: p["states"].__setitem__(0, "ab")),
     "no states": edited(lambda p: p.pop("states")),
@@ -566,6 +569,13 @@ class TestLayoutErrors:
     def test_string_pair_still_refused(self):
         with pytest.raises(ValueError, match="malformed state-set payload"):
             families_module.from_payload(BAD_PAYLOADS["string pair"])
+
+    @pytest.mark.parametrize("case", ["int amplitude beyond float",
+                                      "int prior beyond float"])
+    def test_int_beyond_float_refused(self, case):
+        with pytest.raises(ValueError, match="malformed state-set payload: "
+                           "int too large to convert to float"):
+            families_module.from_payload(BAD_PAYLOADS[case])
 
     @pytest.mark.parametrize("case", GOOD_PAYLOADS)
     def test_accepted_payload(self, case):
