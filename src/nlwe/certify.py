@@ -509,8 +509,6 @@ def min_states_bound(dims) -> int:
     n = (1 + math.isqrt(1 + 4 * total)) // 2
     while n * (n - 1) < total:
         n += 1
-    while n > 1 and (n - 1) * (n - 2) >= total:
-        n -= 1
     return n
 
 

@@ -32,10 +32,11 @@ def is_plain_int(x) -> bool:
 class StateSet:
     """Mutually orthogonal pure states with priors on a multipartite space.
 
-    A product set holds one read-only (N, d_a) complex array per party, the
-    members' local kets as rows: ``local_matrix`` returns it, and ``states``
-    and ``local_state`` return row views of it. A set with an entangled
-    member keeps one tuple of read-only kets per member instead.
+    The attribute ``states`` holds each member's read-only kets as a tuple:
+    one per party, or one global ket. A product set also holds one (N, d_a)
+    complex array per party, the members' local kets as rows, which
+    ``local_matrix`` returns; its ``states`` are row views of those arrays,
+    built with the set.
 
     Kets are normalized on construction, so families may be written down with
     whatever scale factors are convenient; a product set's are normalized
@@ -45,7 +46,7 @@ class StateSet:
     non-orthogonal test inputs.
     """
 
-    __slots__ = ("dims", "priors", "_kets", "_members")
+    __slots__ = ("dims", "priors", "states", "_kets")
 
     def __init__(self, dims, states, priors=None, *, validate: bool = True):
         dims = _checked_dims(dims)
@@ -68,7 +69,8 @@ class StateSet:
         return s
 
     def _setup(self, dims, kets, members, priors, validate):
-        n = len(members) if kets is None else len(kets[0])
+        states = tuple(zip(*kets)) if members is None else members
+        n = len(states)
         if n == 0:
             raise ValueError("state set is empty")
         if priors is None:
@@ -83,7 +85,7 @@ class StateSet:
         priors.setflags(write=False)
         self.dims = dims
         self._kets = kets
-        self._members = members
+        self.states = states
         self.priors = priors
         if validate:
             self._check_orthogonality()
@@ -91,7 +93,7 @@ class StateSet:
     def __setattr__(self, name, value):
         if hasattr(self, "priors") and name in self.__slots__:
             raise AttributeError("StateSet is immutable")
-        object.__setattr__(self, name, value)
+        super().__setattr__(name, value)
 
     @property
     def parties(self) -> int:
@@ -105,34 +107,18 @@ class StateSet:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    @property
-    def states(self) -> tuple:
-        """Each member's kets: one per party, or one global ket.
-
-        A product set builds these row views on first use and keeps them.
-        """
-        if self._members is None:
-            object.__setattr__(self, "_members", tuple(zip(*self._kets)))
-        return self._members
-
     def is_product(self, m: int) -> bool:
         """Whether state ``m`` is stored as one ket per party."""
-        if self._kets is None:
-            return len(self._members[m]) == self.parties
-        if not -self.n_states <= m < self.n_states:
-            raise IndexError(f"state {m} out of range")
-        return True
+        return len(self.states[m]) == self.parties
 
     @property
     def all_product(self) -> bool:
         return self._kets is not None
 
     def local_state(self, m: int, party: int) -> np.ndarray:
-        if self._kets is not None:
-            return self._kets[party][m]
         if not self.is_product(m):
             raise ValueError(f"state {m} has no product form")
-        return self._members[m][party]
+        return self.states[m][party]
 
     def local_matrix(self, party: int) -> np.ndarray:
         """Every member's local ket on ``party`` as rows, (N, d), read-only.
@@ -145,8 +131,7 @@ class StateSet:
         return self._kets[party]
 
     def global_state(self, m: int) -> np.ndarray:
-        kets = (self._members[m] if self._kets is None
-                else [v[m] for v in self._kets])
+        kets = self.states[m]
         return kets[0] if len(kets) == 1 else tensor(kets)
 
     def global_matrix(self) -> np.ndarray:
@@ -308,13 +293,13 @@ def merge_cut(s: StateSet, cut: PartyCut) -> StateSet:
             s.priors)
     perm = [i for b in cut.blocks for i in b]
     entries = []
-    for m in range(s.n_states):
-        if s.is_product(m):
+    for kets in s.states:
+        if len(kets) == s.parties:
             entries.append(
-                tuple(tensor([s.local_state(m, i) for i in b]) for b in cut.blocks)
+                tuple(tensor([kets[i] for i in b]) for b in cut.blocks)
             )
         else:
-            g = s.global_state(m).reshape(s.dims)
+            g = kets[0].reshape(s.dims)
             entries.append((np.transpose(g, perm).reshape(-1),))
     return StateSet(new_dims, entries, s.priors)
 

@@ -48,6 +48,43 @@ def permute_states(s: StateSet, order) -> StateSet:
     )
 
 
+def general_position_upb(d: int, seed: int) -> StateSet:
+    """A d x d minimal UPB of 2d - 1 members in general position, d odd.
+
+    Members i and j are orthogonal on party 0 when they sit at circulant
+    distance 1 ... (d - 1)/2, and on party 1 otherwise (Alon and Lovasz,
+    J. Combin. Theory A 95, 2001). Each party's kets are drawn in member
+    order from ``default_rng([d, seed])`` as complex Gaussians, each
+    projected orthogonal to the earlier members it must be orthogonal to on
+    that party, then normalized; so every d of them are independent with
+    probability one.
+    """
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"d must be odd and >= 3, got {d}")
+    n = 2 * d - 1
+    rng = np.random.default_rng([d, seed])
+    kets = ([], [])
+    for party, column in enumerate(kets):
+        for j in range(n):
+            earlier = [column[i] for i in range(j)
+                       if (min(j - i, n - j + i) <= (d - 1) // 2)
+                       == (party == 0)]
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            if earlier:
+                q = np.linalg.qr(np.array(earlier).T)[0]
+                v = v - q @ (q.conj().T @ v)
+            column.append(v / np.linalg.norm(v))
+    return StateSet((d, d), list(zip(*kets)))
+
+
+def shifts_upb() -> StateSet:
+    """The three-qubit Shifts UPB: |0,1,+>, |1,+,0>, |+,0,1>, |-,-,->."""
+    zero, one = np.eye(2)
+    plus, minus = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+    return StateSet((2, 2, 2), [(zero, one, plus), (one, plus, zero),
+                                (plus, zero, one), (minus, minus, minus)])
+
+
 def gentiles1_witness_dyads(n: int) -> list[np.ndarray]:
     """Explicit traceless dyads on the first party of ``gentiles1(n)``.
 

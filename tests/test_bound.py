@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -11,6 +12,7 @@ from nlwe.bound import (
     _BoundProblem,
     _objective,
     _pack,
+    _restart,
     _unpack,
     distance_from_identity,
     error_lower_bound,
@@ -408,6 +410,7 @@ class TestObjectiveReference:
         for value, grad in self.evaluate(s, factors, 0.0):
             assert value == 0.0
             assert not grad.any()
+        assert _BoundProblem(s).delta([f.conj().T @ f for f in factors]) == 0.0
         # Only the radius penalty is left. Rank-one parts sit at the largest
         # radius, where its gradient vanishes up to rounding.
         (value, grad), (ref_value, ref_grad) = self.evaluate(s, factors, 10.0)
@@ -513,6 +516,17 @@ class TestProjection:
         parts = _project_to_radius(psd, 0.3)
         assert parts is not None
         assert abs(distance_from_identity(_kron_all(parts)) - 0.3) <= 1e-9
+
+    def test_degenerate_parts(self):
+        from nlwe.bound import _project_to_radius
+
+        # A part of zero trace has no multiple of I to move along.
+        assert _project_to_radius([np.zeros((2, 2)), np.eye(3)], 0.3) is None
+        # Multiples of I stay at radius zero along the whole segment.
+        parts = [2.0 * np.eye(2), 0.5 * np.eye(3)]
+        assert _project_to_radius(parts, 0.3) is None
+        for a, b in zip(_project_to_radius(parts, 0.0), parts):
+            assert np.array_equal(a, b)
 
 
 class TestMinDistanceAtRadius:
@@ -647,6 +661,19 @@ class TestOptimizerOptions:
     def test_rejects_invalid(self, field, value):
         with pytest.raises(ValueError, match=field):
             OptimizerOptions(**{field: value})
+
+    def test_single_restart_starts_at_sigma_min(self):
+        # Restart 0 starts at sigma_min however many restarts run, so it
+        # gives the same value alone as first of many; a different sigma_min
+        # moves it.
+        problem = _BoundProblem(bell_states())
+
+        def first(**fields):
+            opts = dataclasses.replace(FAST_OPTS, **fields)
+            return _restart(problem, 0.4, 0.0, opts, (0,), 0)
+
+        assert first(restarts=1) == first(restarts=3)
+        assert first(restarts=1) != first(restarts=1, sigma_min=0.9)
 
 
 class TestPruning:

@@ -40,9 +40,11 @@ from nlwe.linalg import DEFAULT_RANK_TOL, dyad, numerical_rank
 
 from conftest import (
     apply_local_unitaries,
+    general_position_upb,
     gentiles1_witness_dyads,
     haar_unitary,
     permute_states,
+    shifts_upb,
 )
 from flat_reference import hyperplanes as reference_hyperplanes
 
@@ -297,6 +299,8 @@ class TestDyadSpanRank:
             dyad_span_rank(s, 0, [(1, 1)])
         with pytest.raises(ValueError, match=r"\(2, 2\)"):
             dyad_span_rank(s, 0, [(0, 1), (2, 2), (0, 9)])
+        with pytest.raises(ValueError, match="party 2 out of range"):
+            dyad_span_rank(s, 2, [(0, 1)])
 
     def test_monotone_under_more_pairs(self, rng):
         s = tiles()
@@ -790,6 +794,28 @@ class TestMinimalUpb:
         report = upb_report(pair_basis((2, 2)))
         assert not report.is_unextendible
         assert report.witness_partition is not None
+
+
+# Minimal UPBs with known verdicts: every check must find them unextendible
+# and certify them.
+KNOWN_UPBS = {
+    **{f"general-position-d{d}-seed{seed}":
+       (lambda d=d, seed=seed: general_position_upb(d, seed))
+       for d in (3, 5, 7) for seed in range(3)},
+    "shifts": shifts_upb,
+    "tiles": tiles,
+}
+
+
+class TestKnownMinimalUpbs:
+    @pytest.mark.parametrize("name", KNOWN_UPBS)
+    def test_verdicts(self, name):
+        s = KNOWN_UPBS[name]()
+        assert s.n_states == minimal_upb_count(s.dims)
+        assert minimal_upb_check(s)
+        assert not upb_extendibility(s).extendible
+        assert certify_minimal_upb(s) == CERTIFIED_INDISCRIMINABLE
+        assert certify(s).verdict == CERTIFIED_INDISCRIMINABLE
 
 
 class TestMinStatesBound:

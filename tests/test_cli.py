@@ -117,6 +117,10 @@ class TestGenerate:
         assert "pi/4" in err or "angle" in err
         code, _, _ = run(capsys, "generate", "gentiles1", "--n", "5")
         assert code == 2
+        code, _, err = run(capsys, "certify", "rotated-dominoes",
+                           "--theta", "0.1,0.2,0.3")
+        assert code == 2
+        assert "four comma-separated angles" in err
 
 
 class TestCertify:

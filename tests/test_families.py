@@ -113,6 +113,8 @@ class TestStateSet:
         with pytest.raises(ValueError, match="priors must be finite and "
                                              "positive"):
             StateSet((2,), [(e[0],), (e[1],)], priors=[math.nan, 0.5])
+        with pytest.raises(ValueError, match="expected 2 priors, got 3"):
+            StateSet((2,), [(e[0],), (e[1],)], priors=[0.5, 0.25, 0.25])
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="local dimensions"):
@@ -129,6 +131,14 @@ class TestStateSet:
                      [([1, 0], [1]), ([0, 1], [1])])
         assert s.dims == (2, 1)
         assert all(type(d) is int for d in s.dims)
+
+    @pytest.mark.parametrize("build", [tiles, lambda: mixed_ghz()[0]])
+    def test_member_out_of_range(self, build):
+        s = build()
+        with pytest.raises(IndexError):
+            s.is_product(s.n_states)
+        with pytest.raises(IndexError):
+            s.local_state(s.n_states, 0)
 
     def test_immutable(self):
         s = tiles()
@@ -243,6 +253,8 @@ class TestPartyCut:
             PartyCut(((0, 1), (1, 2)))
         with pytest.raises(ValueError):
             PartyCut(((0,), (2,)))
+        with pytest.raises(ValueError, match="nonempty"):
+            PartyCut(((0, 1), ()))
 
     def test_bipartitions_of_three(self):
         cuts = PartyCut.bipartitions(3)
@@ -255,6 +267,10 @@ class TestPartyCut:
 
     def test_bipartitions_of_four(self):
         assert len(PartyCut.bipartitions(4)) == 7  # 2^(4-1) - 1
+
+    def test_bipartitions_need_two_parties(self):
+        with pytest.raises(ValueError, match="two parties"):
+            PartyCut.bipartitions(1)
 
 
 class TestMergeCut:
@@ -383,6 +399,16 @@ NAMED_FAMILIES = [
 ]
 
 
+def mixed_ghz():
+    """(|000> + |111>)/sqrt2, (|000> - |111>)/sqrt2, |001>, |110>, |010>,
+    as a set and as its reference."""
+    e, e8 = np.eye(2), np.eye(8)
+    entries = [(e8[0] + e8[7],), (e8[0] - e8[7],),
+               (e[0], e[0], e[1]), (e[1], e[1], e[0]), (e[0], e[1], e[0])]
+    return (StateSet((2, 2, 2), entries),
+            ReferenceStateSet((2, 2, 2), entries))
+
+
 def random_entries(rng, dims, n):
     return [tuple(rng.normal(size=d) * 10 ** rng.uniform(-3, 3)
                   + 1j * rng.normal(size=d) for d in dims) for _ in range(n)]
@@ -432,6 +458,14 @@ class TestLayoutOracle:
                 assert_same_layout(merge_cut(s, cut),
                                    reference_merge_cut(ref, cut))
 
+    def test_mixed_set_merges(self):
+        # A set with an entangled member is merged member by member, product
+        # members and entangled members alike.
+        s, ref = mixed_ghz()
+        assert_same_layout(s, ref)
+        for cut in PartyCut.bipartitions(3):
+            assert_same_layout(merge_cut(s, cut), reference_merge_cut(ref, cut))
+
     def test_random_product_merges(self, rng):
         # Members (i, j) hold e_i on party 0 and column j of a unitary that
         # depends on i on party 1, so the set is orthogonal whatever the
@@ -478,6 +512,7 @@ BAD_ENTRIES = {
     "overflowing norm": ((2, 3), [(E2[0], E3[0]), (E2[1], [1e308, 1e308, 0])]),
     "string amplitude": ((2, 3), [(E2[0], E3[0]), (E2[1], ["a", "b", "c"])]),
     "empty set": ((2, 3), []),
+    "local dimension 0": ((2, 0), [(E2[0], [])]),
     "zero ket before ragged": ((2, 3), [(E2[0], E3[0]), (E2[1], np.zeros(3)),
                                         (E2[1], E2[1])]),
     "ragged before zero ket": ((2, 3), [(E2[0], E3[0]), (E2[1], E2[1]),
@@ -531,6 +566,7 @@ BAD_PAYLOADS = {
     "entry is a string": edited(lambda p: p["states"].__setitem__(0, "ab")),
     "no states": edited(lambda p: p.pop("states")),
     "empty states": edited(lambda p: p.update(states=[], priors=[])),
+    "not an object": [tiles_payload()],
     "mixed set, bad global ket": edited(lambda p: p["states"].__setitem__(
         0, [[[1.0, 0.0]] * 8])),
 }
@@ -595,3 +631,6 @@ class TestLayoutErrors:
             assert error_of(lambda: s.local_matrix(party)) == expected
             assert np.array_equal(s.local_state(1, party),
                                   ref.local_state(1, party))
+            expected = error_of(lambda: ref.local_state(2, party))
+            assert expected == (ValueError, "state 2 has no product form")
+            assert error_of(lambda: s.local_state(2, party)) == expected
