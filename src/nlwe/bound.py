@@ -115,10 +115,12 @@ class BoundResult:
     once it fell below 1% of the largest value seen (see ``_sweep``). It is
     the distance of a point at that radius, so still an upper estimate of
     the radius's minimum, and strictly below ``diagnostics["max_delta"]``.
-    ``restarts_total``, ``projected_total`` and ``converged_fraction``
-    count the restarts actually run, a stopped one as converged;
-    ``failed_radii`` counts radii where no restart reached a feasible point,
-    which report 0.
+    ``restarts_total`` counts the restarts actually run and
+    ``projected_total`` those placed at their radius, so the difference
+    counts unplaced restarts. ``converged_fraction`` is the share of every
+    restart run, placed or not, whose L-BFGS-B stages converged, a stopped
+    one counting as converged. ``failed_radii`` counts radii where no
+    restart reached a feasible point, which report 0.
     """
 
     r_grid: tuple[float, ...]
@@ -317,12 +319,14 @@ def _restart(problem: _BoundProblem, r_target: float, cut: float,
     stopped).
 
     None means the descent ended at a point that could not be projected onto
-    the radius. The descent stops at its first point whose penalized
+    the radius; ``converged`` still reports whether its L-BFGS-B stages
+    succeeded. The descent stops at its first point whose penalized
     objective is below ``cut**2``; that point is then placed and measured
-    like a final one, and the restart reports converged and stopped. Each
-    (seed key, restart) pair has its own seed stream, so a restart returns
-    the same value whatever else runs before it, and with ``cut`` 0 it never
-    stops.
+    like a final one, and the restart reports converged and stopped. A
+    stopped point the projection refuses is rerun without a cut, so a
+    stopped result always has a value. Each (seed key, restart) pair has its
+    own seed stream, so a restart returns the same value whatever else runs
+    before it, and with ``cut`` 0 it never stops.
     """
     import scipy.optimize as sciopt
 
@@ -377,6 +381,8 @@ def _restart(problem: _BoundProblem, r_target: float, cut: float,
     psd = [f.conj().T @ f for f in _unpack(x, shapes)]
     if not rank_one:
         psd = _project_to_radius(psd, r_target)
+        if psd is None and stopped:
+            return _restart(problem, r_target, 0.0, opts, seed_key, k)
         if psd is None:
             return None, converged, stopped
     return problem.delta(psd), converged, stopped
@@ -384,24 +390,30 @@ def _restart(problem: _BoundProblem, r_target: float, cut: float,
 
 @dataclass
 class _RadiusRun:
-    """Running state of the restarts at one radius.
-
-    ``held`` maps each stopped restart to its value until it is rerun
-    without a cut; it counts as projected and converged meanwhile.
-    """
+    """The restarts run at one radius: ``results[k]`` is what ``_restart``
+    returned for restart k, replaced when a stopped restart is rerun."""
 
     radius: float
     key: tuple
-    exact: float = math.inf
-    restarts: int = 0
-    converged: int = 0
-    projected: int = 0
+    results: dict = field(default_factory=dict)
     pruned: bool = False
-    held: dict = field(default_factory=dict)
+
+    @property
+    def restarts(self) -> int:
+        return len(self.results)
+
+    @property
+    def projected(self) -> int:
+        return sum(v is not None for v, _, _ in self.results.values())
+
+    @property
+    def converged(self) -> int:
+        return sum(c for _, c, _ in self.results.values())
 
     @property
     def best(self) -> float:
-        return min([self.exact, *self.held.values()])
+        return min((v for v, _, _ in self.results.values() if v is not None),
+                   default=math.inf)
 
     @property
     def failed(self) -> bool:
@@ -427,58 +439,36 @@ def _sweep(problem: _BoundProblem, batch, opts: OptimizerOptions,
     Each descent stops at its first point whose penalized objective is below
     the square of ``cut`` times the largest of ``floor`` and the restart
     values seen in this sweep, when that is positive: with a small ``cut``,
-    the radius is then far below the maximum. The stopped value is kept
-    only while it can still prune its radius: a stopped restart that cannot
-    be projected is rerun at once without a cut, and a radius reruns its
-    stopped restarts without a cut before its next restart and before it
-    finishes. A finished radius is thus exact, and only a pruned radius can
-    report a stopped value. Returns the runs in batch order and the updated
-    floor.
+    the radius is then far below the maximum. A stopped value is kept only
+    while it can still prune its radius: a radius reruns its stopped
+    restarts without a cut before its next restart and before it finishes.
+    A finished radius is thus exact, and only a pruned radius can report a
+    stopped value. Returns the runs in batch order and the updated floor.
     """
     runs = [_RadiusRun(float(r), key) for r, key in batch]
     high = floor
 
-    def run_restart(run, k, level):
-        nonlocal high
-        value, converged, stopped = _restart(problem, run.radius, level,
-                                             opts, run.key, k)
-        if value is None and stopped:
-            value, converged, stopped = _restart(problem, run.radius, 0.0,
-                                                 opts, run.key, k)
-        if value is None:
-            return
-        high = max(high, value)
-        run.projected += 1
-        run.converged += int(converged)
-        if stopped:
-            run.held[k] = value
-        else:
-            run.exact = min(run.exact, value)
-
     def step(run):
-        run_restart(run, run.restarts, cut * high if high > 0 else 0.0)
-        run.restarts += 1
-
-    def settle(run):
-        for k in sorted(run.held):
-            del run.held[k]
-            run.projected -= 1
-            run.converged -= 1
-            run_restart(run, k, 0.0)
+        # Rerun the stopped restarts without a cut, else start the next one.
+        nonlocal high
+        todo = [(k, 0.0) for k, (_, _, stopped) in run.results.items()
+                if stopped]
+        if not todo and run.restarts < opts.restarts:
+            todo = [(run.restarts, cut * high if high > 0 else 0.0)]
+        for k, level in todo:
+            run.results[k] = result = _restart(problem, run.radius, level,
+                                               opts, run.key, k)
+            if result[0] is not None:
+                high = max(high, result[0])
 
     for run in runs:
         step(run)
     for run in sorted(runs, key=lambda run: run.best, reverse=True):
-        while run.restarts < opts.restarts:
-            if run.best < floor:
-                run.pruned = True
-                break
-            if run.held:
-                settle(run)
-            else:
-                step(run)
-        else:
-            settle(run)
+        while run.restarts < opts.restarts and run.best >= floor:
+            step(run)
+        run.pruned = run.restarts < opts.restarts
+        if not run.pruned:
+            step(run)
             floor = max(floor, run.value)
     return runs, floor
 

@@ -67,7 +67,16 @@ FAMILIES = {
 }
 
 
+def _check_family_options(name: str, args) -> None:
+    """Refuse ``--n`` and ``--theta`` for an input that would ignore them."""
+    for option, family in (("n", "gentiles1"), ("theta", "rotated-dominoes")):
+        if getattr(args, option) is not None and name != family:
+            raise ValueError(f"--{option} applies only to the {family} "
+                             f"family, not to {name!r}")
+
+
 def _resolve_input(text: str, args) -> StateSet:
+    _check_family_options(text, args)
     if text in FAMILIES:
         return FAMILIES[text](args)
     path = Path(text)
@@ -99,6 +108,7 @@ def _report_header(args, command: str) -> dict:
 
 
 def _cmd_generate(args) -> int:
+    _check_family_options(args.family, args)
     s = FAMILIES[args.family](args)
     if args.output:
         save(s, args.output)
@@ -170,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--theta", help="four comma-separated angles in "
-                                        "(0, pi/4]")
+                                        "(0, pi/4] for rotated-dominoes")
     common.add_argument("--n", type=int, help="system size for gentiles1")
     common.add_argument("-o", "--output", help="output path (default stdout)")
 

@@ -85,6 +85,25 @@ def shifts_upb() -> StateSet:
                                 (plus, zero, one), (minus, minus, minus)])
 
 
+def one_way_product_set(d0: int, d1: int, seed: int) -> StateSet:
+    """A d0 x d1 product basis that one-way LOCC discriminates perfectly.
+
+    Party 0 measures in a Haar-random basis U; on outcome k, party 1
+    measures in its own Haar-random basis V_k. The members are
+    (U[:, k], V_k[:, j]) with random priors, all drawn from
+    ``default_rng([d0, d1, seed])``. The set's discrimination error is 0, so
+    the true inner minimum of the bound is 0 at every radius.
+    """
+    rng = np.random.default_rng([d0, d1, seed])
+    u = haar_unitary(d0, rng)
+    members = []
+    for k in range(d0):
+        v = haar_unitary(d1, rng)
+        members += [(u[:, k], v[:, j]) for j in range(d1)]
+    priors = rng.random(len(members)) + 0.1
+    return StateSet((d0, d1), members, priors / priors.sum())
+
+
 def gentiles1_witness_dyads(n: int) -> list[np.ndarray]:
     """Explicit traceless dyads on the first party of ``gentiles1(n)``.
 

@@ -29,6 +29,7 @@ from nlwe.families import (
 )
 
 import objective_reference as reference
+from conftest import one_way_product_set
 from dense_reference import (
     ProductOperator,
     discrimination_operator,
@@ -846,6 +847,37 @@ class TestCut:
                                      (0.3, 1e-5, True, 2, 2, 2)])
         assert stops == []
 
+        # Radius 0.2 runs all its restarts, the last stopped below the
+        # floor: it must still settle that restart, not be pruned on it.
+        values.clear()
+        values.update({0.1: [1.0, 0.9, 0.8], 0.2: [0.95, 0.9, 1e-3]})
+        for cut, stopped in ((bound.CUT, [(0.2, 2)]), (0.0, [])):
+            assert sweep(cut) == (0.8, [(0.1, 0.8, False, 3, 3, 3),
+                                        (0.2, 1e-3, False, 3, 3, 3)])
+            assert stops == stopped
+            stops.clear()
+
+    def test_refused_stopped_point_rerun_without_cut(self, monkeypatch):
+        # A cut of 1.0 stops the descent; when its point is refused,
+        # _restart must return what the uncut restart returns.
+        import nlwe.bound as bound
+
+        problem = _BoundProblem(bell_states())
+        project, refused = bound._project_to_radius, []
+
+        def refuse_first(psd, r):
+            if not refused:
+                refused.append(r)
+                return None
+            return project(psd, r)
+
+        assert _restart(problem, 0.4, 1.0, FAST_OPTS, (0,), 0)[2]
+        monkeypatch.setattr(bound, "_project_to_radius", refuse_first)
+        result = _restart(problem, 0.4, 1.0, FAST_OPTS, (0,), 0)
+        assert refused == [0.4]
+        assert result == _restart(problem, 0.4, 0.0, FAST_OPTS, (0,), 0)
+        assert result[0] is not None and result[1:] == (True, False)
+
     def test_objective_evaluation_count(self, monkeypatch):
         # A deterministic stand-in for the time saved: 5,741 evaluations
         # without the cut, about 3,750 with it.
@@ -876,6 +908,10 @@ class TestFailedRadii:
         assert any("feasible" in w for w in res.diagnostics["warnings"])
         assert res.diagnostics["projected_total"] \
             < res.diagnostics["restarts_total"]
+        # Unplaced restarts still report their L-BFGS-B convergence.
+        assert res.diagnostics["converged_fraction"] > 0.5
+        assert not any("convergence" in w
+                       for w in res.diagnostics["warnings"])
 
     def test_single_radius_failure_warned(self, monkeypatch):
         monkeypatch.setattr("nlwe.bound._project_to_radius",
@@ -887,4 +923,17 @@ class TestFailedRadii:
     def test_none_on_healthy_run(self):
         res = error_lower_bound(two_qubit_demo(), FAST_OPTS)
         assert res.diagnostics["failed_radii"] == 0
+        assert res.diagnostics["warnings"] == []
+
+
+class TestOneWaySentinel:
+    """One-way LOCC discriminates these sets perfectly, so their true inner
+    minimum is 0 and any positive ``max_delta`` is local-search error."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)],
+                             ids="{0[0]}x{0[1]}".format)
+    def test_max_delta_small(self, dims, seed):
+        res = error_lower_bound(one_way_product_set(*dims, seed), FAST_OPTS)
+        assert res.diagnostics["max_delta"] <= 1e-5
         assert res.diagnostics["warnings"] == []

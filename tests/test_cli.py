@@ -12,7 +12,7 @@ import nlwe.cli
 from nlwe.bound import OptimizerOptions
 from nlwe.certify import EnumerationBudgetExceeded
 from nlwe.cli import build_parser, main
-from nlwe.families import StateSet, load, save
+from nlwe.families import StateSet, gentiles1, load, save
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -209,6 +209,36 @@ class TestCertify:
         assert code == 2
         assert out == ""
         assert "tol" in err
+
+
+class TestFamilyOptions:
+    """``--n`` and ``--theta`` are refused where the input ignores them,
+    before anything is loaded or built."""
+
+    @pytest.fixture(autouse=True)
+    def no_load(self, monkeypatch):
+        def explode(path):
+            raise AssertionError("input loaded")
+
+        monkeypatch.setattr("nlwe.cli.load", explode)
+
+    def test_family(self, capsys):
+        code, out, err = run(capsys, "certify", "tiles", "--n", "8")
+        assert (code, out) == (2, "")
+        assert "--n applies only to the gentiles1 family" in err
+
+    def test_file(self, tmp_path, capsys):
+        path = tmp_path / "g4.json"
+        save(gentiles1(4), path)
+        code, out, err = run(capsys, "certify", str(path), "--n", "16")
+        assert (code, out) == (2, "")
+        assert "--n applies only to the gentiles1 family" in err
+
+    def test_generate(self, capsys):
+        code, out, err = run(capsys, "generate", "gentiles1",
+                             "--theta", "0.3,0.3,0.3,0.3")
+        assert (code, out) == (2, "")
+        assert "--theta applies only to the rotated-dominoes family" in err
 
 
 class TestUpb:
