@@ -118,9 +118,9 @@ class BoundResult:
     ``restarts_total`` counts the restarts actually run and
     ``projected_total`` those placed at their radius, so the difference
     counts unplaced restarts. ``converged_fraction`` is the share of every
-    restart run, placed or not, whose L-BFGS-B stages converged, a stopped
-    one counting as converged. ``failed_radii`` counts radii where no
-    restart reached a feasible point, which report 0.
+    restart run, placed or not, whose L-BFGS stages (``_lbfgs``) converged,
+    a stopped one counting as converged. ``failed_radii`` counts radii where
+    no restart reached a feasible point, which report 0.
     """
 
     r_grid: tuple[float, ...]
@@ -268,20 +268,19 @@ def _rescale_factors(factors):
     return out
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _project_to_radius(psd, r_target: float):
     """Exactly feasible PSD product operator at the requested radius.
 
     Moves every local part along the segment A(t) = c I + t (A - c I)
     toward its trace-matched identity (outward beyond the input where PSD
     permits). Local traces stay c d, so D R(t)^2 = prod(1 + t^2 v) - 1 with
-    v = |A - c I|^2 / (c^2 d), increasing in t; its root needs no dense
-    operator. Returns the local parts, or None when the radius is out of
-    reach along this curve.
+    v = |A - c I|^2 / (c^2 d), increasing in t; its root, found by
+    bisection, needs no dense operator. Returns the local parts, or None
+    when the radius is out of reach along this curve.
     """
-    # Imported here, not at module level: scipy.optimize takes longer to
-    # import than the rest of the package, and certify never needs it.
-    import scipy.optimize as sciopt
-
     dims = [a.shape[0] for a in psd]
     centers = [a.trace().real / d for a, d in zip(psd, dims)]
     if any(c <= 0 for c in centers):
@@ -305,12 +304,281 @@ def _project_to_radius(psd, r_target: float):
     def gap(t):
         return math.prod(1.0 + t * t * w for w in v) - target
 
-    t_hi = t_max * (1.0 - 1e-9)
-    if gap(t_hi) < 0:
+    lo, hi = 0.0, t_max * (1.0 - 1e-9)
+    if gap(hi) < 0:
         return None
-    t_star = sciopt.brentq(gap, 0.0, t_hi, xtol=1e-14)
+    # gap(0) <= 0 <= gap(hi) and gap increases, so halving keeps the root
+    # bracketed; stop at an absolute 1e-14 plus a few ulps of t.
+    while hi - lo > 1e-14 + 4 * _EPS * hi:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    t_star = 0.5 * (lo + hi)
     return [c * np.eye(d) + t_star * m
             for m, c, d in zip(shifts, centers, dims)]
+
+
+# L-BFGS as L-BFGS-B runs without bounds (Byrd, Lu, Nocedal and Zhu, SIAM J.
+# Sci. Comput. 16, 1995): a memory of 10 pairs, a Moré-Thuente line search
+# (ACM TOMS 20, 1994) with these tolerances and at most 20 evaluations, the
+# first step capped at 1e10, and a gradient-norm stop.
+_MEMORY = 10
+_SEARCH_FTOL, _SEARCH_GTOL, _SEARCH_XTOL = 1e-3, 0.9, 0.1
+_SEARCH_EVALS = 20
+_STEP_MAX = 1e10
+_GRAD_TOL = 1e-12
+
+
+def _cubic_gamma(theta, a, b):
+    """sqrt(theta^2 - a b), scaled against overflow and clamped at 0."""
+    s = max(abs(theta), abs(a), abs(b))
+    if s == 0:
+        return 0.0
+    return s * math.sqrt(max(0.0, (theta / s) ** 2 - (a / s) * (b / s)))
+
+
+def _safeguarded_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt,
+                      stpmin, stpmax):
+    """MINPACK-2 dcstep: the next trial step and the updated interval.
+
+    (stx, fx, dx) is the best step so far, (sty, fy, dy) the other end of
+    the interval and (stp, fp, dp) the step just tried. Returns stx, fx, dx,
+    sty, fy, dy, the new trial step and whether a minimizer is bracketed.
+    """
+    opposite = (dp > 0 > dx) or (dp < 0 < dx)
+    if fp > fx:
+        # Higher value: the minimizer is bracketed. Take the cubic step,
+        # or the mean of the cubic and quadratic steps if the cubic is
+        # farther from stx.
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp)
+        if stp < stx:
+            gamma = -gamma
+        r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + (dx / ((fx - fp) / (stp - stx) + dx)) / 2.0 * (stp - stx)
+        if abs(stpc - stx) <= abs(stpq - stx):
+            stpf = stpc
+        else:
+            stpf = stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:
+        # Derivatives of opposite sign: bracketed. Take the cubic step if
+        # it is farther from stp than the secant step, else the secant.
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp)
+        if stp > stx:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        # Same sign, the derivative shrinking in magnitude: the cubic step
+        # if its minimum lies beyond stp, else the bound of the interval.
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _cubic_gamma(theta, dx, dp)
+        if stp > stx:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0 and gamma != 0:
+            stpc = stp + r * (stx - stp)
+        elif stp > stx:
+            stpc = stpmax
+        else:
+            stpc = stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            if stp > stx:
+                stpf = min(stp + 0.66 * (sty - stp), stpf)
+            else:
+                stpf = max(stp + 0.66 * (sty - stp), stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(stpmax, max(stpmin, stpf))
+    elif brackt:
+        # Same sign, not shrinking, bracketed: the cubic step toward sty.
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        gamma = _cubic_gamma(theta, dy, dp)
+        if stp > sty:
+            gamma = -gamma
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+        stpf = stp + r * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _line_search(fun, args, x, f, g, d, stp):
+    """Moré-Thuente search (MINPACK-2 dcsrch) from x along d.
+
+    Returns (step, x, f, g) at the first trial point that meets the strong
+    Wolfe conditions or at which the search can make no more progress, or
+    None when d is not a descent direction, a trial value or gradient is
+    not finite, or 20 trials meet neither. A trial that rounds to the
+    point last evaluated reuses its value and gradient.
+    """
+    ginit = float(g @ d)
+    if not ginit < 0:
+        return None
+    gtest = _SEARCH_FTOL * ginit
+    brackt, stage1 = False, True
+    width, width1 = _STEP_MAX, 2.0 * _STEP_MAX
+    stx = sty = 0.0
+    fx = fy = f
+    gx = gy = ginit
+    stmin, stmax = 0.0, 5.0 * stp
+    x_new, f_new, g_new = x, f, g
+    for _ in range(_SEARCH_EVALS):
+        x_last, x_new = x_new, x + stp * d
+        # A step too small to move x repeats the last point, and its value.
+        if not (x_new == x_last).all():
+            f_new, g_new = fun(x_new, *args)
+        # A non-finite entry of g_new makes the slope non-finite too.
+        slope = float(g_new @ d)
+        if not (math.isfinite(f_new) and math.isfinite(slope)):
+            return None
+        ftest = f + stp * gtest
+        if stage1 and f_new <= ftest and slope >= 0:
+            stage1 = False
+        if ((f_new <= ftest and abs(slope) <= _SEARCH_GTOL * -ginit)
+                or (brackt and (stp <= stmin or stp >= stmax
+                                or stmax - stmin <= _SEARCH_XTOL * stmax))
+                or (stp == _STEP_MAX and f_new <= ftest and slope <= gtest)
+                or (stp == 0 and (f_new > ftest or slope >= gtest))):
+            # Converged, or rounding, the interval width or a step bound
+            # prevents progress: either way the trial point is accepted.
+            return stp, x_new, f_new, g_new
+        try:
+            if stage1 and fx >= f_new > ftest:
+                # Step on psi(s) = f(s) - f(0) - ftol s f'(0) until some
+                # trial point has psi <= 0 and f' >= 0.
+                stx, fxm, gxm, sty, fym, gym, stp, brackt = _safeguarded_step(
+                    stx, fx - stx * gtest, gx - gtest,
+                    sty, fy - sty * gtest, gy - gtest,
+                    stp, f_new - stp * gtest, slope - gtest,
+                    brackt, stmin, stmax)
+                fx, gx = fxm + stx * gtest, gxm + gtest
+                fy, gy = fym + sty * gtest, gym + gtest
+            else:
+                stx, fx, gx, sty, fy, gy, stp, brackt = _safeguarded_step(
+                    stx, fx, gx, sty, fy, gy, stp, f_new, slope,
+                    brackt, stmin, stmax)
+        except ZeroDivisionError:
+            return None
+        if brackt:
+            # Bisect when the interval did not shrink enough in two steps.
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin = stp + 1.1 * (stp - stx)
+            stmax = stp + 4.0 * (stp - stx)
+        stp = min(_STEP_MAX, max(0.0, stp))
+        if brackt and (stp <= stmin or stp >= stmax
+                       or stmax - stmin <= _SEARCH_XTOL * stmax):
+            stp = stx
+    return None
+
+
+class _Memory:
+    """The newest L-BFGS pairs (s, y), oldest first, in the first ``k`` rows
+    of ``s`` and ``y``, with ``rinv`` the inverse of R, the upper triangle
+    of S Y^T, and ``sy`` its diagonal.
+
+    -H g is the two-loop recursion in compact form (Byrd, Nocedal and
+    Schnabel, Math. Program. 63, 1994): its two loops are the triangular
+    solves with R and R^T, here products with ``rinv``. A new pair adds a
+    column to R, and dropping the oldest keeps the trailing block of
+    ``rinv``, so the inverse is never refactored. The arrays are allocated
+    once, since these small operations cost less than allocating.
+    """
+
+    def __init__(self, n: int):
+        self.s = np.empty((_MEMORY, n))
+        self.y = np.empty((_MEMORY, n))
+        self.rinv = np.zeros((_MEMORY, _MEMORY))
+        self.sy = np.empty(_MEMORY)
+        self.k = 0
+        self.gamma = 1.0  # H0 = gamma I, s'y / y'y of the newest pair
+
+    def direction(self, g):
+        """-H g, which is -g with no pairs."""
+        k = self.k
+        if not k:
+            return -g
+        s, y, rinv = self.s[:k], self.y[:k], self.rinv[:k, :k]
+        alpha = rinv @ (s @ g)
+        r = self.gamma * (g - alpha @ y)
+        return -(r + ((self.sy[:k] * alpha - y @ r) @ rinv) @ s)
+
+    def add(self, s, y, sy: float, yy: float):
+        k = self.k
+        if k == _MEMORY:
+            for a in (self.s, self.y, self.sy):
+                a[:-1] = a[1:]
+            self.rinv[:-1, :-1] = self.rinv[1:, 1:]
+            self.rinv[-1] = 0.0
+            k -= 1
+        self.rinv[:k, k] = (self.rinv[:k, :k] @ (self.s[:k] @ y)) / -sy
+        self.rinv[k, k] = 1.0 / sy
+        self.s[k], self.y[k], self.sy[k] = s, y, sy
+        self.k = k + 1
+        self.gamma = sy / yy
+
+
+def _lbfgs(fun, x, args, max_iters: int, tol: float):
+    """Minimize ``fun(x, *args) -> (value, gradient)`` from x: (x, converged).
+
+    The path L-BFGS-B takes with no bounds. The first step is 1/|g| along
+    -g, later ones start at 1 along the L-BFGS direction. When a line
+    search fails, the previous iterate is kept, the memory is dropped and
+    the search is retried along -g; with the memory already empty the
+    descent stops unconverged. A pair with s'y <= eps y'y is not stored.
+    Converged means max|g| <= 1e-12 or a relative decrease of f of at most
+    ``tol``; ``max_iters`` iterations end the descent unconverged. An
+    exception raised by ``fun``, such as ``_Cut``, propagates.
+    """
+    f, g = fun(x, *args)
+    if np.abs(g).max() <= _GRAD_TOL:
+        return x, True
+    memory = _Memory(len(x))
+    iters = 0
+    while True:
+        # L-BFGS-B steps toward the model's minimizer z along d = z - x;
+        # forming d the same way keeps its rounding when g is tiny next to x.
+        d = (x + memory.direction(g)) - x
+        stp = min(1.0 / np.linalg.norm(d), _STEP_MAX) if iters == 0 else 1.0
+        found = _line_search(fun, args, x, f, g, d, stp)
+        if found is None:
+            if not memory.k:
+                return x, False
+            memory = _Memory(len(x))
+            continue
+        stp, x_new, f_new, g_new = found
+        iters += 1
+        if iters >= max_iters:
+            return x_new, False
+        if (np.abs(g_new).max() <= _GRAD_TOL
+                or f - f_new <= tol * max(abs(f), abs(f_new), 1.0)):
+            return x_new, True
+        s, y = stp * d, g_new - g
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > _EPS * yy:
+            memory.add(s, y, sy, yy)
+        x, f, g = x_new, f_new, g_new
 
 
 def _restart(problem: _BoundProblem, r_target: float, cut: float,
@@ -319,8 +587,8 @@ def _restart(problem: _BoundProblem, r_target: float, cut: float,
     stopped).
 
     None means the descent ended at a point that could not be projected onto
-    the radius; ``converged`` still reports whether its L-BFGS-B stages
-    succeeded. The descent stops at its first point whose penalized
+    the radius; ``converged`` still reports whether its ``_lbfgs`` stages
+    converged. The descent stops at its first point whose penalized
     objective is below ``cut**2``; that point is then placed and measured
     like a final one, and the restart reports converged and stopped. A
     stopped point the projection refuses is rerun without a cut, so a
@@ -328,8 +596,6 @@ def _restart(problem: _BoundProblem, r_target: float, cut: float,
     own seed stream, so a restart returns the same value whatever else runs
     before it, and with ``cut`` 0 it never stops.
     """
-    import scipy.optimize as sciopt
-
     if r_target < 1e-14:
         # Only multiples of the identity sit at radius zero.
         return 0.0, True, False
@@ -362,18 +628,13 @@ def _restart(problem: _BoundProblem, r_target: float, cut: float,
     rsq_target = r_target * r_target
     for _ in range(stages):
         try:
-            res = sciopt.minimize(
-                _objective, x,
-                args=(problem, shapes, weight, rsq_target, cut * cut),
-                jac=True, method="L-BFGS-B",
-                options={"maxiter": opts.max_iters, "ftol": opts.tol,
-                         "gtol": 1e-12},
-            )
+            x, ok = _lbfgs(_objective, x,
+                           (problem, shapes, weight, rsq_target, cut * cut),
+                           opts.max_iters, opts.tol)
         except _Cut as stop:
             x, converged, stopped = stop.x, True, True
         else:
-            x = res.x
-            converged = converged and bool(res.success)
+            converged = converged and ok
         x = _pack(_rescale_factors(_unpack(x, shapes)))
         if stopped:
             break

@@ -78,6 +78,29 @@ def test_certify_and_upb_never_import_scipy_optimize():
     assert done.stdout == "[0, 0] False\n"
 
 
+def test_bound_runs_without_scipy():
+    # A fresh interpreter in which any import of scipy fails.
+    script = (
+        "import contextlib, io, sys\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is blocked')\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "import nlwe.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = nlwe.cli.main(['bound', 'two-qubit-demo', '--r-steps', "
+        "'3', '--restarts', '2'])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = Path(nlwe.cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "0 False\n"
+
+
 class TestGenerate:
     def test_tiles_file(self, tmp_path, capsys):
         out = tmp_path / "tiles.json"
