@@ -9,18 +9,21 @@ N x N matrix built from local parts alone: for a product set it is the
 entrywise product of the parties' N x N matrices, so no D x D operator is
 formed. Its diagonal is nonnegative, as Q is PSD, and is the nearest point
 of the coefficient cone, so the distance is the norm of the off-diagonal
-part over the trace. One kernel evaluates all parties at once, stacked and
-zero-padded to the largest local dimension. The inner minimization is
-nonconvex; it is attacked by multi-start local descent with a quadratic
-distance penalty, so the reported values are best-effort estimates (upper
-estimates of each inner minimum) rather than certificates. Restarts stop
-early at radii that provably cannot hold the maximum, which leaves the
-bound unchanged. A descent also stops once its penalized distance falls
-below 1% (``CUT``) of the largest value its sweep has seen. A pruned radius
-can report such a stopped value; every other radius reruns its stopped
-restarts to the end, so the bound is unchanged again. A stopped restart
-counts as converged. Diagnostics on restarts, convergence, pruned and
-failed radii accompany the result.
+part over the trace. One kernel evaluates a stack of points, all parties
+at once, stacked and zero-padded to the largest local dimension. The inner
+minimization is nonconvex; it is attacked by multi-start local descent with
+a quadratic distance penalty, so the reported values are best-effort
+estimates (upper estimates of each inner minimum) rather than
+certificates. Descents are coroutines, and independent ones (the probes of
+a sweep, the restarts of its first radius to finish) run in lockstep
+rounds, one kernel call per round. Restarts stop early at radii that
+provably cannot hold the maximum, which leaves the bound unchanged. A
+descent also stops once its penalized distance falls below 1% (``CUT``) of
+the largest value its sweep has seen, checked at every evaluation. A
+pruned radius can report such a stopped value; every other radius reruns
+its stopped restarts to the end, so the bound is unchanged again. A
+stopped restart counts as converged. Diagnostics on restarts, convergence,
+pruned and failed radii accompany the result.
 """
 
 from __future__ import annotations
@@ -112,13 +115,15 @@ class BoundResult:
     ``diagnostics["pruned"]`` is true, the radius stopped restarting once its
     running minimum fell below a finished radius's value. Its entry then
     comes from fewer restarts, and can be the value of a descent stopped
-    once it fell below 1% of the largest value seen (see ``_sweep``). It is
-    the distance of a point at that radius, so still an upper estimate of
-    the radius's minimum, and strictly below ``diagnostics["max_delta"]``.
+    once it fell below 1% of the largest value seen at one of its
+    evaluations, which in a lockstep round can be a value another radius
+    reached in that round (see ``_sweep``). It is the distance of a point
+    at that radius, so still an upper estimate of the radius's minimum, and
+    strictly below ``diagnostics["max_delta"]``.
     ``restarts_total`` counts the restarts actually run and
     ``projected_total`` those placed at their radius, so the difference
     counts unplaced restarts. ``converged_fraction`` is the share of every
-    restart run, placed or not, whose L-BFGS stages (``_lbfgs``) converged,
+    restart run, placed or not, whose L-BFGS stages (``_descent``) converged,
     a stopped one counting as converged. ``failed_radii`` counts radii where
     no restart reached a feasible point, which report 0.
     """
@@ -143,9 +148,10 @@ class _BoundProblem:
     otherwise.
 
     The parties are stacked on a leading axis, zero-padded to width W:
-    ``ket`` (P, W, N) holds X_a^T and ``bra`` (P, N, W) conj(X_a); ``masks``
-    maps the factors' shapes, full (d, d) or rank-one (1, d), to the entries
-    they fill in a (P, R, W) stack.
+    ``ket`` (P, W, N) holds X_a^T and ``bra`` (P, N, W) conj(X_a); ``slots``
+    maps the factors' shapes, full (d, d) or rank-one (1, d), to a (P, R, W)
+    stack's shape and the entries they fill in it, viewed as floats, which
+    is the order of ``_pack``.
     """
 
     def __init__(self, s: StateSet):
@@ -165,13 +171,17 @@ class _BoundProblem:
         self.ket = np.zeros((s.parties, max(s.dims), len(atoms[0])), complex)
         for a, x in enumerate(atoms):
             self.ket[a, :x.shape[1]] = x.T
-        self.masks = {}
+        self.slots = {}
         for rows in (self.dims, (1,) * s.parties):
             mask = np.zeros((s.parties, max(rows), max(self.dims)), bool)
             for a, (r, d) in enumerate(zip(rows, self.dims)):
                 mask[a, :r, :d] = True
-            self.masks[tuple(zip(rows, self.dims))] = mask
+            self.slots[tuple(zip(rows, self.dims))] = (
+                mask.shape, np.flatnonzero(np.repeat(mask.ravel(), 2)))
         self.bra = np.ascontiguousarray(self.ket.conj().transpose(0, 2, 1))
+        # Points per kernel call: past about 2^14 entries of the parties' N x N
+        # stacks, a larger stack costs more per point, not less.
+        self.batch = max(1, 2**14 // (s.parties * len(atoms[0]) ** 2))
         self.off_diagonal = 1.0 - np.eye(s.n_states)
         # Row a lists the other parties: a + 1, ..., a + P - 1 (mod P).
         self.others = (np.arange(s.parties)[:, None]
@@ -183,9 +193,9 @@ class _BoundProblem:
 
     def delta(self, psd) -> float:
         """Scaled zonotope distance of kron(psd); 0 below TRACE_FLOOR."""
-        full = self.masks[tuple((d, d) for d in self.dims)]
-        parts = np.zeros(full.shape, complex)
-        parts[full] = np.concatenate([np.ravel(a) for a in psd])
+        shape, slots = self.slots[tuple((d, d) for d in self.dims)]
+        parts = np.zeros(shape, complex)
+        parts.view(float).flat[slots] = _pack(psd)
         p = self.members((self.bra @ parts @ self.ket).prod(axis=0))
         t = p.trace().real
         if t < TRACE_FLOOR:
@@ -205,57 +215,59 @@ def _unpack(x: np.ndarray, shapes) -> list[np.ndarray]:
     return [z[e - r * d:e].reshape(r, d) for (r, d), e in zip(shapes, ends)]
 
 
-class _Cut(Exception):
-    """A descent reached a point below its cut level; ``x`` is that point."""
+def _objective(x, problem: _BoundProblem, shapes, weight, rsq_target):
+    """Penalized squared distances and their gradients for a stack of points.
 
-    def __init__(self, x):
-        super().__init__()
-        self.x = x
-
-
-def _objective(x, problem: _BoundProblem, shapes, weight, rsq_target,
-               cut_sq=0.0):
-    """Penalized squared distance and its gradient in factor parameters.
-
-    One pass over the padded factor stack L, with no loop over parties:
-    |m|^2 / t^2, m the off-diagonal part of ``Pi Q Pi`` and t its trace,
-    plus weight * (R^2 - rsq_target)^2, R^2 = prod |A_a|^2 / prod Tr(A_a)^2
-    - 1/D. Gradients G satisfy df = Re sum(conj(G) * dX). Raises ``_Cut``
-    at a value below ``cut_sq``, which 0 never is.
+    x is (B, n), with ``weight`` and ``rsq_target`` per row or shared; a
+    single point (n,) gives a value and an (n,) gradient. One pass over the
+    padded factor stacks L, with no loop over points or parties: |m|^2 / t^2,
+    m the off-diagonal part of ``Pi Q Pi`` and t its trace (0 below
+    TRACE_FLOOR), plus weight * (R^2 - rsq_target)^2, R^2 = prod |A_a|^2 /
+    prod Tr(A_a)^2 - 1/D. Gradients G satisfy df = Re sum(conj(G) * dX).
     """
-    mask = problem.masks[tuple(shapes)]
-    f = np.zeros(mask.shape, complex)
-    f[mask] = np.asarray(x, dtype=float).view(complex)
+    x = np.asarray(x, dtype=float)
+    rows = x.reshape(-1, x.shape[-1])
+    shape, slots = problem.slots[tuple(shapes)]
+    f = np.zeros((len(rows),) + shape, complex)
+    f.view(float).reshape(len(rows), -1)[:, slots] = rows
     y = f @ problem.ket  # Y_a = L_a X_a^T, so local_a = Y_a^dag Y_a
-    local = y.conj().transpose(0, 2, 1) @ y
-    p = problem.members(local.prod(axis=0))
-    t = p.trace().real
-    if t < TRACE_FLOOR:
-        value, grad = 0.0, np.zeros_like(f)
-    else:
-        m = p * problem.off_diagonal
-        value = np.vdot(m, m).real / t**2
-        g = (2.0 / t**2) * m
-        np.fill_diagonal(g, -2.0 * value / t)
-        if problem.coeff is not None:
-            g = problem.coeff[1] @ g @ problem.coeff[0]
-        # local_a's gradient is g * O_a^T, O_a the other parties' product.
-        others = local[problem.others].prod(axis=1)
-        # dA = dL^dag L + L^dag dL, so the gradient in L is 2 L G.
-        grad = 2.0 * (y @ (g * others.transpose(0, 2, 1)) @ problem.bra)
-    if weight:
+    local = y.conj().swapaxes(2, 3) @ y
+    p = problem.members(local.prod(axis=1))
+    # Per-row scalars are kept as (B, 1, 1). An infinite trace makes a row
+    # below the floor read 0, with no gradient.
+    t = p.trace(axis1=1, axis2=2).real[:, None, None]
+    t[t < TRACE_FLOOR] = np.inf
+    m = p * problem.off_diagonal
+    flat = m.reshape(len(m), 1, -1)  # |m|^2 as a product, rounded as vdot
+    t2 = t * t
+    value = (flat.conj() @ flat.swapaxes(1, 2)).real / t2
+    # g is twice the gradient in p: the factor 2 of the gradient in L
+    # (below) folded in, which is exact.
+    g = (4.0 / t2) * m
+    g.reshape(len(g), -1)[:, ::g.shape[-1] + 1] = (-4.0 * value / t)[:, 0]
+    if problem.coeff is not None:
+        g = problem.coeff[1] @ g @ problem.coeff[0]
+    # local_a's gradient is g * O_a^T, O_a the other parties' product.
+    others = local[:, problem.others].prod(axis=2)
+    # dA = dL^dag L + L^dag dL, so the gradient in L is 2 L G.
+    grad = y @ (g[:, None] * others.swapaxes(2, 3)) @ problem.bra
+    weight = np.asarray(weight)
+    if weight.any():
+        weight = weight[..., None, None]
         # With B = L L^dag: |A|^2 = |B|^2 and Tr A = |L|^2 = Tr B.
-        b = f @ f.conj().transpose(0, 2, 1)
+        b = f @ f.conj().swapaxes(2, 3)
         bf = b @ f
-        norms = (f.conj() * bf).real.sum(axis=(1, 2), keepdims=True)
-        traces = b.trace(axis1=1, axis2=2).real[:, None, None]
-        ratio = norms.prod() / traces.prod() ** 2
-        gap = ratio - 1.0 / problem.total - rsq_target
-        value = value + weight * gap * gap
-        grad = grad + (8.0 * weight * gap * ratio) * (bf / norms - f / traces)
-    if value < cut_sq:
-        raise _Cut(np.array(x, dtype=float))
-    return value, grad[mask].view(float)
+        norms = (f.conj() * bf).real.sum(axis=(2, 3), keepdims=True)
+        traces = b.trace(axis1=2, axis2=3).real[..., None, None]
+        ratio = norms.prod(axis=1) / traces.prod(axis=1) ** 2
+        gap = (ratio - 1.0 / problem.total
+               - np.asarray(rsq_target)[..., None, None])
+        wgap = weight * gap
+        value = value + wgap * gap
+        grad += (8.0 * wgap * ratio)[:, None] * (bf / norms - f / traces)
+    grad = grad.view(float).reshape(len(f), -1).take(slots, axis=1)
+    value = value[:, 0, 0]
+    return (value[0], grad[0]) if x.ndim == 1 else (value, grad)
 
 
 def _rescale_factors(factors):
@@ -295,8 +307,10 @@ def _project_to_radius(psd, r_target: float):
         t_max = 1.0  # every factor proportional to identity
 
     # Computed from A - c I, not as |A|^2 / (c^2 d) - 1, which cancels when
-    # a descent ends near a multiple of the identity.
+    # a descent ends near a multiple of the identity. The shift's rounding
+    # trace is removed, or a large root would stretch it into the trace.
     shifts = [a - c * np.eye(d) for a, c, d in zip(psd, centers, dims)]
+    shifts = [m - np.trace(m) / d * np.eye(d) for m, d in zip(shifts, dims)]
     v = [np.vdot(m, m).real / (c * c * d)
          for m, c, d in zip(shifts, centers, dims)]
     target = 1.0 + math.prod(dims) * r_target * r_target
@@ -420,14 +434,15 @@ def _safeguarded_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt,
     return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
-def _line_search(fun, args, x, f, g, d, stp):
-    """Moré-Thuente search (MINPACK-2 dcsrch) from x along d.
+def _line_search(x, f, g, d, stp):
+    """Moré-Thuente search (MINPACK-2 dcsrch) from x along d, a coroutine.
 
-    Returns (step, x, f, g) at the first trial point that meets the strong
-    Wolfe conditions or at which the search can make no more progress, or
-    None when d is not a descent direction, a trial value or gradient is
-    not finite, or 20 trials meet neither. A trial that rounds to the
-    point last evaluated reuses its value and gradient.
+    Yields each trial point and receives its (value, gradient). Returns
+    (step, x, f, g) at the first trial point that meets the strong Wolfe
+    conditions or at which the search can make no more progress, or None
+    when d is not a descent direction, a trial value or gradient is not
+    finite, or 20 trials meet neither. A trial that rounds to the point
+    last evaluated reuses its value and gradient.
     """
     ginit = float(g @ d)
     if not ginit < 0:
@@ -444,7 +459,7 @@ def _line_search(fun, args, x, f, g, d, stp):
         x_last, x_new = x_new, x + stp * d
         # A step too small to move x repeats the last point, and its value.
         if not (x_new == x_last).all():
-            f_new, g_new = fun(x_new, *args)
+            f_new, g_new = yield x_new
         # A non-finite entry of g_new makes the slope non-finite too.
         slope = float(g_new @ d)
         if not (math.isfinite(f_new) and math.isfinite(slope)):
@@ -539,8 +554,9 @@ class _Memory:
         self.gamma = sy / yy
 
 
-def _lbfgs(fun, x, args, max_iters: int, tol: float):
-    """Minimize ``fun(x, *args) -> (value, gradient)`` from x: (x, converged).
+def _descent(x, max_iters: int, tol: float):
+    """L-BFGS from x as a coroutine: yields each trial point, receives its
+    (value, gradient) and returns (x, converged).
 
     The path L-BFGS-B takes with no bounds. The first step is 1/|g| along
     -g, later ones start at 1 along the L-BFGS direction. When a line
@@ -548,10 +564,10 @@ def _lbfgs(fun, x, args, max_iters: int, tol: float):
     the search is retried along -g; with the memory already empty the
     descent stops unconverged. A pair with s'y <= eps y'y is not stored.
     Converged means max|g| <= 1e-12 or a relative decrease of f of at most
-    ``tol``; ``max_iters`` iterations end the descent unconverged. An
-    exception raised by ``fun``, such as ``_Cut``, propagates.
+    ``tol``; ``max_iters`` iterations end the descent unconverged. The
+    caller may abandon the descent at any trial point.
     """
-    f, g = fun(x, *args)
+    f, g = yield x
     if np.abs(g).max() <= _GRAD_TOL:
         return x, True
     memory = _Memory(len(x))
@@ -561,7 +577,7 @@ def _lbfgs(fun, x, args, max_iters: int, tol: float):
         # forming d the same way keeps its rounding when g is tiny next to x.
         d = (x + memory.direction(g)) - x
         stp = min(1.0 / np.linalg.norm(d), _STEP_MAX) if iters == 0 else 1.0
-        found = _line_search(fun, args, x, f, g, d, stp)
+        found = yield from _line_search(x, f, g, d, stp)
         if found is None:
             if not memory.k:
                 return x, False
@@ -581,20 +597,34 @@ def _lbfgs(fun, x, args, max_iters: int, tol: float):
         x, f, g = x_new, f_new, g_new
 
 
-def _restart(problem: _BoundProblem, r_target: float, cut: float,
+def _lbfgs(fun, x, args, max_iters: int, tol: float):
+    """Minimize ``fun(x, *args) -> (value, gradient)`` from x by
+    ``_descent``: (x, converged)."""
+    descent = _descent(x, max_iters, tol)
+    trial = next(descent)
+    while True:
+        try:
+            trial = descent.send(fun(trial, *args))
+        except StopIteration as done:
+            return done.value
+
+
+def _restart(problem: _BoundProblem, r_target: float, stop,
              opts: OptimizerOptions, seed_key: tuple, k: int):
-    """Run restart ``k`` at one radius: (scaled distance or None, converged,
-    stopped).
+    """Restart ``k`` at one radius, a coroutine for ``_lockstep``: yields
+    kernel requests (shapes, point, weight, rsq_target), receives (value,
+    gradient) for each, returns (scaled distance or None, converged, stopped).
 
     None means the descent ended at a point that could not be projected onto
-    the radius; ``converged`` still reports whether its ``_lbfgs`` stages
-    converged. The descent stops at its first point whose penalized
-    objective is below ``cut**2``; that point is then placed and measured
+    the radius; ``converged`` still reports whether its ``_descent`` stages
+    converged. ``stop`` is the cut check, None for no cut: it is asked at
+    every evaluation, and the descent stops at its first point whose
+    penalized objective it accepts. That point is then placed and measured
     like a final one, and the restart reports converged and stopped. A
     stopped point the projection refuses is rerun without a cut, so a
     stopped result always has a value. Each (seed key, restart) pair has its
     own seed stream, so a restart returns the same value whatever else runs
-    before it, and with ``cut`` 0 it never stops.
+    before or beside it.
     """
     if r_target < 1e-14:
         # Only multiples of the identity sit at radius zero.
@@ -627,14 +657,19 @@ def _restart(problem: _BoundProblem, r_target: float, cut: float,
     converged, stopped = True, False
     rsq_target = r_target * r_target
     for _ in range(stages):
-        try:
-            x, ok = _lbfgs(_objective, x,
-                           (problem, shapes, weight, rsq_target, cut * cut),
-                           opts.max_iters, opts.tol)
-        except _Cut as stop:
-            x, converged, stopped = stop.x, True, True
-        else:
-            converged = converged and ok
+        descent = _descent(x, opts.max_iters, opts.tol)
+        trial = next(descent)
+        while True:
+            value, grad = yield shapes, trial, weight, rsq_target
+            if stop is not None and stop(value):
+                x, converged, stopped = trial, True, True
+                break
+            try:
+                trial = descent.send((value, grad))
+            except StopIteration as done:
+                x, ok = done.value
+                converged = converged and ok
+                break
         x = _pack(_rescale_factors(_unpack(x, shapes)))
         if stopped:
             break
@@ -643,10 +678,39 @@ def _restart(problem: _BoundProblem, r_target: float, cut: float,
     if not rank_one:
         psd = _project_to_radius(psd, r_target)
         if psd is None and stopped:
-            return _restart(problem, r_target, 0.0, opts, seed_key, k)
+            return (yield from _restart(problem, r_target, None, opts,
+                                        seed_key, k))
         if psd is None:
             return None, converged, stopped
     return problem.delta(psd), converged, stopped
+
+
+def _lockstep(problem: _BoundProblem, coroutines) -> list:
+    """Run ``_restart`` coroutines in rounds until each has returned; their
+    results, in order. Each round evaluates every pending point with one
+    ``_objective`` call per shapes group (full or rank-one), then sends the
+    results back in turn, so a coroutine sees what those before it changed.
+    """
+    results = [None] * len(coroutines)
+    pending = [(i, None) for i in range(len(coroutines))]
+    while pending:
+        groups = {}
+        for i, sent in pending:
+            try:
+                shapes, *request = coroutines[i].send(sent)
+            except StopIteration as done:
+                results[i] = done.value
+            else:
+                groups.setdefault(shapes, []).append((i, *request))
+        pending = []
+        for shapes, group in groups.items():
+            for at in range(0, len(group), problem.batch):
+                rows, xs, weights, targets = zip(*group[at:at + problem.batch])
+                values, grads = _objective(np.array(xs), problem, shapes,
+                                           np.array(weights),
+                                           np.array(targets))
+                pending += zip(rows, zip(values, grads))
+    return results
 
 
 @dataclass
@@ -691,40 +755,55 @@ def _sweep(problem: _BoundProblem, batch, opts: OptimizerOptions,
            floor: float = -math.inf, cut: float = 0.0):
     """Best-first restarts over a batch of (radius, seed key) pairs.
 
-    Every radius is probed with restart 0; the radii then finish in
-    decreasing order of their probe value. A radius stops early once its
-    running minimum drops strictly below ``floor``, the largest final value
-    among radii that ran all their restarts: its own minimum is then below
-    the maximum, so it cannot be the argmax.
+    Every radius is probed with restart 0, all probes together in lockstep
+    (``_lockstep``); the radii then finish in decreasing order of their
+    probe value. A radius stops early once its running minimum drops
+    strictly below ``floor``, the largest final value among radii that ran
+    all their restarts: its own minimum is then below the maximum, so it
+    cannot be the argmax. While ``floor`` is -inf nothing can prune the
+    first radius to finish, so its other restarts run together too, with
+    no cut. Every later restart runs alone, so pruning keeps its order.
 
-    Each descent stops at its first point whose penalized objective is below
-    the square of ``cut`` times the largest of ``floor`` and the restart
-    values seen in this sweep, when that is positive: with a small ``cut``,
-    the radius is then far below the maximum. A stopped value is kept only
-    while it can still prune its radius: a radius reruns its stopped
-    restarts without a cut before its next restart and before it finishes.
-    A finished radius is thus exact, and only a pruned radius can report a
-    stopped value. Returns the runs in batch order and the updated floor.
+    The cut is checked at every evaluation against the sweep's running
+    maximum at that moment, the largest of ``floor`` and the restart values
+    seen so far, so a probe can be stopped by a value another probe reached
+    in the same round. A descent stops at its first point whose penalized
+    objective is below the square of ``cut`` times that maximum, when it is
+    positive; with a small ``cut``, the radius is then far below the
+    maximum. A stopped value is kept only while it can still prune its
+    radius: a radius reruns its stopped restarts without a cut before its
+    next restart and before it finishes. A finished radius is thus exact,
+    and only a pruned radius can report a stopped value. Returns the runs
+    in batch order and the updated floor.
     """
     runs = [_RadiusRun(float(r), key) for r, key in batch]
     high = floor
 
+    def stop(value):
+        level = cut * high
+        return high > 0 and value < level * level
+
+    def restart(run, k, check):
+        nonlocal high
+        run.results[k] = result = yield from _restart(
+            problem, run.radius, check, opts, run.key, k)
+        if result[0] is not None:
+            high = max(high, result[0])
+
     def step(run):
         # Rerun the stopped restarts without a cut, else start the next one.
-        nonlocal high
-        todo = [(k, 0.0) for k, (_, _, stopped) in run.results.items()
+        todo = [(k, None) for k, (_, _, stopped) in run.results.items()
                 if stopped]
         if not todo and run.restarts < opts.restarts:
-            todo = [(run.restarts, cut * high if high > 0 else 0.0)]
-        for k, level in todo:
-            run.results[k] = result = _restart(problem, run.radius, level,
-                                               opts, run.key, k)
-            if result[0] is not None:
-                high = max(high, result[0])
+            todo = [(run.restarts, stop)]
+        _lockstep(problem, [restart(run, k, check) for k, check in todo])
 
-    for run in runs:
-        step(run)
+    _lockstep(problem, [restart(run, 0, stop) for run in runs])
     for run in sorted(runs, key=lambda run: run.best, reverse=True):
+        if floor == -math.inf:
+            _lockstep(problem, [restart(run, k, None)
+                                for k in range(opts.restarts)
+                                if k not in run.results or run.results[k][2]])
         while run.restarts < opts.restarts and run.best >= floor:
             step(run)
         run.pruned = run.restarts < opts.restarts

@@ -10,8 +10,8 @@ from nlwe.bound import (
     BoundResult,
     OptimizerOptions,
     _BoundProblem,
-    _Cut,
     _lbfgs,
+    _lockstep,
     _objective,
     _pack,
     _project_to_radius,
@@ -43,6 +43,11 @@ from dense_reference import (
 )
 
 FAST_OPTS = OptimizerOptions(r_steps=5, restarts=8, refine_levels=1)
+
+
+def run_restart(problem, *args):
+    """What one ``_restart`` returns, run alone through ``_lockstep``."""
+    return _lockstep(problem, [_restart(problem, *args)])[0]
 
 
 def phased_bell():
@@ -423,6 +428,51 @@ class TestObjectiveReference:
             assert np.linalg.norm(grad - ref_grad) \
                 <= 1e-10 * np.linalg.norm(ref_grad)
 
+    @pytest.mark.parametrize("rank_one", [False, True],
+                             ids=["full", "rank-one"])
+    @pytest.mark.parametrize("case", sorted(OBJECTIVE_CASES))
+    def test_mixed_batch(self, rng, case, rank_one):
+        # The inputs above in one kernel call, with weights 0 and 10 and a
+        # radius target per slice; seven qubits add a slice below the trace
+        # floor. Each slice matches the reference, and each point evaluated
+        # alone matches itself inside the batch.
+        s = OBJECTIVE_CASES[case]()
+        shapes = [(1, d) if rank_one else (d, d) for d in s.dims]
+        points = [[np.ones(shape) + 0.5 * (rng.normal(size=shape)
+                                           + 1j * rng.normal(size=shape))
+                   for shape in shapes] for _ in range(6)]
+        floor = None
+        if case == "seven-qubits":
+            top = np.eye(shapes[0][0])[0]
+            floor = 2
+            points.insert(floor, [np.outer(top, [1, 0]),
+                                  np.outer(top, [0, 1])] + points[floor][2:])
+        weights = np.resize([0.0, 10.0], len(points))
+        targets = np.linspace(0.05, 0.4, len(points))
+        problem = _BoundProblem(s)
+        x = np.array([_pack(factors) for factors in points])
+        values, grads = _objective(x, problem, shapes, weights, targets)
+        ref_problem = reference.ReferenceProblem(s)
+        for i, factors in enumerate(points):
+            ref_value, ref_grad = reference._objective(
+                reference._pack(factors), ref_problem, shapes, weights[i],
+                targets[i])
+            ref_grad = np.concatenate(
+                [g.ravel() for g in reference._unpack(ref_grad, shapes)])
+            grad = np.concatenate([g.ravel() for g in _unpack(grads[i],
+                                                              shapes)])
+            if i == floor:
+                assert weights[i] == 0.0
+                assert values[i] == 0.0 and not grad.any()
+            assert values[i] == pytest.approx(ref_value, rel=1e-12, abs=0)
+            assert np.linalg.norm(grad - ref_grad) \
+                <= 1e-10 * np.linalg.norm(ref_grad)
+            value, alone = _objective(x[i], problem, shapes, weights[i],
+                                      targets[i])
+            assert value == pytest.approx(values[i], rel=1e-13, abs=0)
+            assert np.linalg.norm(alone - grads[i]) \
+                <= 1e-13 * np.linalg.norm(grads[i])
+
 
 def sampled_min_distance(s, radius, n_samples, rng, chunk=5000):
     """Naive baseline: random product operators steered to the radius.
@@ -573,8 +623,8 @@ class TestProjection:
         # descent at a small radius can end (ROADMAP item 4). The root
         # stretches the rounding noise A - c I about 1.7e14 times. That
         # noise need not be traceless: here party 0's shift has trace
-        # -1.1e-16, so its trace moves by the stretch times that, and the
-        # parts miss the radius by 3.4e-4. This pins today's behaviour.
+        # -1.1e-16, which the stretch would carry into the trace (by 2.7%)
+        # and the radius (off by 3.4e-4) if it were not removed first.
         from dense_reference import kron_all as _kron_all
 
         psd = []
@@ -583,18 +633,17 @@ class TestProjection:
             h = h + h.conj().T
             h -= np.trace(h) / d * np.eye(d)
             psd.append(0.7 * (np.eye(d) + 1e-15 * h / np.linalg.norm(h)))
+        shift = psd[0] - psd[0].trace().real / 2 * np.eye(2)
+        assert abs(shift.trace()) > 1e-17
         parts = _project_to_radius(psd, 0.0866)
         assert parts is not None
         for a, b in zip(parts, psd):
-            shift = b - b.trace().real / 2 * np.eye(2)
             stretch = np.linalg.norm(a - b.trace().real / 2 * np.eye(2)) \
-                / np.linalg.norm(shift)
+                / np.linalg.norm(b - b.trace().real / 2 * np.eye(2))
             assert 1e14 < stretch < 3e14
-            assert a.trace() - b.trace() == pytest.approx(
-                stretch * shift.trace(), rel=1e-6, abs=1e-15)
-        assert psd[0].trace() != parts[0].trace()
-        miss = distance_from_identity(_kron_all(parts)) - 0.0866
-        assert 1e-4 < miss < 1e-3
+            assert abs(a.trace() - b.trace()) <= 1e-15 * b.trace().real
+            assert np.linalg.eigvalsh(a)[0] >= 0
+        assert abs(distance_from_identity(_kron_all(parts)) - 0.0866) <= 1e-12
 
 
 def quadratic(a, b):
@@ -706,11 +755,11 @@ class TestLbfgs:
         for fail_at, expect in (({3}, True), ({3, 4}, False)):
             calls = []
 
-            def failing(fun, args, x, f, g, d, stp):
+            def failing(x, f, g, d, stp):
                 calls.append((x, g, d))
                 if len(calls) in fail_at:
                     return None
-                return search(fun, args, x, f, g, d, stp)
+                return (yield from search(x, f, g, d, stp))
 
             monkeypatch.setattr(bound, "_line_search", failing)
             x, converged = _lbfgs(rosenbrock, np.array([-1.2, 1.0]), (),
@@ -764,20 +813,30 @@ class TestLbfgs:
         assert not np.array_equal(x, x0)
 
     def test_cut_carries_its_point(self):
-        # _Cut raised at a trial point leaves the loop with that point.
-        points = []
+        # The cut check stops a descent at a trial point, and the restart
+        # leaves with that point: it places and measures the last point
+        # evaluated, the first whose value the check accepts.
+        problem = _BoundProblem(bell_states())
+        points, values = [], []
 
-        def cutting(x):
-            points.append(np.array(x))
-            value, grad = rosenbrock(x)
-            if value < 1.0:
-                raise _Cut(np.array(x))
-            return value, grad
+        def below(value):
+            return value < 0.15
 
-        with pytest.raises(_Cut) as stop:
-            _lbfgs(cutting, np.array([-1.2, 1.0]), (), 300, 1e-14)
-        assert np.array_equal(stop.value.x, points[-1])
-        assert rosenbrock(stop.value.x)[0] < 1.0
+        restart = _restart(problem, 0.4, below, FAST_OPTS, (0,), 0)
+        request = next(restart)
+        with pytest.raises(StopIteration) as done:
+            while True:
+                shapes, x, weight, target = request
+                points.append(np.array(x))
+                values.append(_objective(x, problem, shapes, weight, target))
+                request = restart.send(values[-1])
+        value, converged, stopped = done.value.value
+        assert stopped and converged
+        assert values[-1][0] < 0.15
+        assert all(v >= 0.15 for v, _ in values[:-1])
+        placed = _project_to_radius([f.conj().T @ f for f in
+                                     _unpack(points[-1], shapes)], 0.4)
+        assert value == pytest.approx(problem.delta(placed), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_trial_never_an_iterate(self, bad):
@@ -937,7 +996,7 @@ class TestOptimizerOptions:
 
         def first(**fields):
             opts = dataclasses.replace(FAST_OPTS, **fields)
-            return _restart(problem, 0.4, 0.0, opts, (0,), 0)
+            return run_restart(problem, 0.4, None, opts, (0,), 0)
 
         assert first(restarts=1) == first(restarts=3)
         assert first(restarts=1) != first(restarts=1, sigma_min=0.9)
@@ -1017,7 +1076,7 @@ class TestCut:
         original = bound._restart
 
         def recording(*args):
-            out = original(*args)
+            out = yield from original(*args)
             stopped.append(out[2])
             return out
 
@@ -1040,23 +1099,19 @@ class TestCut:
     def test_unprojectable_cut_point_rerun(self, monkeypatch):
         # Refusing every stopped point leaves nothing held but at the
         # largest radius, whose rank-one descents need no projection, so
-        # the sweep must equal the uncut one everywhere else.
+        # the sweep must equal the uncut one everywhere else. A restart
+        # projects right after its last cut check, with nothing else run
+        # in between, so that check tells whether the point was stopped.
         import nlwe.bound as bound
 
         state = {"stopped": False, "refused": 0}
-        objective, restart, project = (bound._objective, bound._restart,
-                                       bound._project_to_radius)
+        restart, project = bound._restart, bound._project_to_radius
 
-        def watched_objective(*args):
-            try:
-                return objective(*args)
-            except bound._Cut:
-                state["stopped"] = True
-                raise
-
-        def watched_restart(*args):
-            state["stopped"] = False
-            return restart(*args)
+        def watched_restart(problem, radius, stop, *rest):
+            def watched(value):
+                state["stopped"] = stop is not None and stop(value)
+                return state["stopped"]
+            return restart(problem, radius, watched, *rest)
 
         def refusing(psd, r):
             if state["stopped"]:
@@ -1064,7 +1119,6 @@ class TestCut:
                 return None
             return project(psd, r)
 
-        monkeypatch.setattr(bound, "_objective", watched_objective)
         monkeypatch.setattr(bound, "_restart", watched_restart)
         monkeypatch.setattr(bound, "_project_to_radius", refusing)
         res = error_lower_bound(tiles(), TILES_OPTS[0])
@@ -1079,20 +1133,24 @@ class TestCut:
 
     def test_sweep_reruns_stopped_restarts(self, monkeypatch):
         # Scripted restart values per radius; a stopped restart reports
-        # twice its value. Radius 0.1 finishes first, its last restart
-        # stopped; 0.2 is pruned on a settled value, 0.3 on a held one.
+        # twice its value. Radius 0.1 finishes first, its restarts after
+        # the probe run without a cut; 0.2 is pruned on a settled value,
+        # 0.3 on a held one.
         import nlwe.bound as bound
 
         values = {0.1: [1.0, 0.5, 1e-3], 0.2: [0.1, 6e-4, 0.2],
                   0.3: [0.05, 1e-5, 0.3]}
         stops = []
 
-        def scripted(problem, radius, level, opts, key, k):
+        def scripted(problem, radius, stop, opts, key, k):
+            # A coroutine that needs no evaluation; the cut check is asked
+            # about the squared value, as about a penalized objective.
             value = values[radius][k]
-            if value < level:
+            if stop is not None and stop(value * value):
                 stops.append((radius, k))
                 return 2.0 * value, True, True
             return value, True, False
+            yield
 
         def sweep(cut):
             runs, floor = bound._sweep(
@@ -1103,7 +1161,7 @@ class TestCut:
 
         monkeypatch.setattr(bound, "_restart", scripted)
         floor, runs = sweep(bound.CUT)
-        assert stops == [(0.1, 2), (0.2, 1), (0.3, 1)]
+        assert stops == [(0.2, 1), (0.3, 1)]
         assert (floor, runs) == (1e-3, [(0.1, 1e-3, False, 3, 3, 3),
                                         (0.2, 6e-4, True, 2, 2, 2),
                                         (0.3, 2e-5, True, 2, 2, 2)])
@@ -1137,28 +1195,79 @@ class TestCut:
                 return None
             return project(psd, r)
 
-        assert _restart(problem, 0.4, 1.0, FAST_OPTS, (0,), 0)[2]
+        def below_one(value):
+            return value < 1.0
+
+        assert run_restart(problem, 0.4, below_one, FAST_OPTS, (0,), 0)[2]
         monkeypatch.setattr(bound, "_project_to_radius", refuse_first)
-        result = _restart(problem, 0.4, 1.0, FAST_OPTS, (0,), 0)
+        result = run_restart(problem, 0.4, below_one, FAST_OPTS, (0,), 0)
         assert refused == [0.4]
-        assert result == _restart(problem, 0.4, 0.0, FAST_OPTS, (0,), 0)
+        assert result == run_restart(problem, 0.4, None, FAST_OPTS, (0,), 0)
         assert result[0] is not None and result[1:] == (True, False)
 
     def test_objective_evaluation_count(self, monkeypatch):
         # A deterministic stand-in for the time saved: 5,741 evaluations
-        # without the cut, about 3,750 with it.
+        # without the cut, about 3,750 with it. A kernel call evaluates a
+        # stack of points, and each point counts.
         import nlwe.bound as bound
 
         calls = []
         original = bound._objective
 
-        def counting(*args):
-            calls.append(None)
-            return original(*args)
+        def counting(x, *args):
+            calls.extend([None] * len(x))
+            return original(x, *args)
 
         monkeypatch.setattr(bound, "_objective", counting)
         error_lower_bound(tiles(), TILES_OPTS[0])
         assert len(calls) <= 4500
+
+
+class TestLockstep:
+    """Restarts advanced in rounds, one kernel call per round and shape."""
+
+    @pytest.mark.parametrize("radius,level,mixed", [
+        (0.2, 8.3e-4, True), (max_radius(9), 1e-6, False)],
+        ids=["full", "rank-one"])
+    def test_alone_or_in_batch(self, radius, level, mixed):
+        # The cut check here is fixed, not read from a running maximum, so
+        # a restart's path cannot depend on what runs beside it. At r = 0.2
+        # it stops the restarts that settle below the level and no other.
+        problem = _BoundProblem(tiles())
+        opts = dataclasses.replace(FAST_OPTS, restarts=6)
+
+        def stop(value):
+            return value < level
+
+        def restarts():
+            return [_restart(problem, radius, stop, opts, (0,), k)
+                    for k in range(opts.restarts)]
+
+        together = _lockstep(problem, restarts())
+        alone = [_lockstep(problem, [r])[0] for r in restarts()]
+        stopped = [result[2] for result in together]
+        assert any(stopped) and all(stopped) != mixed
+        for (value, *flags), (ref, *ref_flags) in zip(together, alone):
+            assert value == pytest.approx(ref, rel=1e-12, abs=0)
+            assert flags == ref_flags
+
+    def test_bell_batches_its_evaluations(self, monkeypatch):
+        # The probes, and the first radius's restarts, share kernel calls:
+        # default options on Bell make at most half as many calls as they
+        # evaluate points.
+        import nlwe.bound as bound
+
+        calls, points = [], []
+        original = bound._objective
+
+        def counting(x, *args):
+            calls.append(None)
+            points.extend([None] * len(x))
+            return original(x, *args)
+
+        monkeypatch.setattr(bound, "_objective", counting)
+        error_lower_bound(bell_states())
+        assert 2 * len(calls) <= len(points)
 
 
 class TestFailedRadii:
