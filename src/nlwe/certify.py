@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .families import PartyCut, StateSet, is_plain_int, merge_cut
+from .families import PartyCut, StateSet, is_plain_int, merge_cut, plain_ints
 from .linalg import DEFAULT_RANK_TOL, dyad, numerical_rank
 
 # Overlap threshold used both for "orthogonal on this party" and for
@@ -29,7 +29,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 
 class EnumerationBudgetExceeded(RuntimeError):
-    """Raised when a search visits more nodes than its budget allows."""
+    """Raised when a search would visit more nodes than its budget allows."""
 
 
 def _require_product(s: StateSet, what: str):
@@ -248,10 +248,6 @@ _STACK_ENTRIES = 1 << 21
 # this size the block's temporaries were measured to cost several times
 # more per entry.
 _FLAT_ENTRIES = 1 << 15
-# Levels of flats grown in blocks under each flat of rank d - 1 - this.
-# Deeper subtrees make larger blocks but cost more to grow again one flat
-# at a time when the budget runs out inside one.
-_BATCHED_LEVELS = 4
 
 
 def _children(block, nodes, js, leaf):
@@ -299,63 +295,33 @@ def _hyperplanes(kets: np.ndarray, tick) -> np.ndarray:
     come in lexicographic order of their rows. A row lies in the closure
     when its residual is at most ``DEFAULT_RANK_TOL``.
 
-    Flats of rank below c = d - 1 - ``_BATCHED_LEVELS`` grow one at a
-    time. The subtree under a flat of rank c grows depth-first in blocks of
-    flats, each stacked array holding at most ``_FLAT_ENTRIES`` complex
-    entries. ``tick(m)`` is told of m growths before they are computed: one
-    flat's above rank c, one block's within a subtree. It raises without
-    counting them when they would pass the budget, and a negative m takes
-    counted growths back. A subtree that passes the budget is taken back
-    and grown again one flat at a time, so the count passes the budget at
-    the same flat, and at the same total, as when every flat grows alone in
-    depth-first preorder; the work done before the raise is at most the
-    budget plus that one subtree.
+    The search starts from a block of one flat, the empty one of rank 0,
+    and grows depth-first in blocks: a block's children are formed in
+    chunks, each stacked array holding at most ``_FLAT_ENTRIES`` complex
+    entries, and each chunk is one block of the next rank, grown before the
+    next chunk is formed. ``tick(m)`` is told of a block's m growths before
+    any of them is computed, and raises when they would pass the budget, so
+    no growth past it is computed.
     """
     k, d = kets.shape
     step = max(1, _FLAT_ENTRIES // (k * d))
     # With d = 1 the one flat of rank 0 is the closure of nothing.
     flats = [np.zeros((1 if d == 1 else 0, k), dtype=bool)]
 
-    def grow(block, rank, count, cutoff):
-        # A block of flats of rank ``rank``, whose growths ``count`` is told
-        # of; a single flat below ``cutoff``, whose children are visited one
-        # at a time.
+    def grow(block, rank):
         nodes, js = (~block[1] & (np.arange(k) > block[3][:, None])).nonzero()
-        count(len(js))
+        tick(len(js))
         for start in range(0, len(js), step):
             children = _children(block, nodes[start:start + step],
                                  js[start:start + step], rank + 2 == d)
             if rank + 2 == d:
                 flats.append(children)
-            elif rank >= cutoff:
-                grow(children, rank + 1, count, cutoff)
             else:
-                for i in range(len(children[3])):
-                    visit(tuple(a[i:i + 1] for a in children), rank + 1,
-                          cutoff)
-
-    def visit(node, rank, cutoff):
-        if rank < cutoff:
-            return grow(node, rank, tick, cutoff)
-        counted = []
-
-        def block_tick(m):
-            tick(m)
-            counted.append(m)
-
-        try:
-            grow(node, rank, block_tick, cutoff)
-        except EnumerationBudgetExceeded:
-            # Take the subtree's blocks back and count it again one flat at
-            # a time, in preorder, to raise where a per-flat search raises.
-            tick(-sum(counted))
-            grow(node, rank, tick, d)
-            raise
+                grow(children, rank + 1)
 
     if d > 1:
-        root = (kets[None], np.zeros((1, k), dtype=bool),
-                np.linalg.norm(kets, axis=1)[None], np.array([-1]))
-        visit(root, 0, d - 1 - _BATCHED_LEVELS)
+        grow((kets[None], np.zeros((1, k), dtype=bool),
+              np.linalg.norm(kets, axis=1)[None], np.array([-1])), 0)
     return np.concatenate(flats)
 
 
@@ -396,13 +362,12 @@ def upb_extendibility(s: StateSet,
     recurses on the rest with party a + 1; the last party must be short on
     what is left. Flats come in lexicographic order of their members.
 
-    Every flat growth and every partition node counts against ``budget``,
-    before it is computed; the search raises ``EnumerationBudgetExceeded``
-    when the count would pass it, naming the count it would reach. Flat
-    growths are counted in blocks, but the raise comes at the same count as
-    when they are counted one flat at a time in depth-first preorder (see
-    :func:`_hyperplanes`). A member group is short by the Gram prefilter of
-    :func:`_short`. ``budget`` must be a positive int.
+    Flat growths and partition nodes are counted against ``budget`` one
+    block at a time, before the block is computed (see :func:`_hyperplanes`);
+    the search raises ``EnumerationBudgetExceeded`` instead of computing a
+    block that would pass it, naming the nodes visited and the block's size.
+    A member group is short by the Gram prefilter of :func:`_short`.
+    ``budget`` must be a positive int.
     """
     if not is_plain_int(budget) or budget < 1:
         raise ValueError(f"budget must be a positive int, got {budget!r}")
@@ -418,8 +383,8 @@ def upb_extendibility(s: StateSet,
         nonlocal visited
         if visited + nodes > budget:
             raise EnumerationBudgetExceeded(
-                f"UPB search reached {visited + nodes} nodes, past its budget "
-                f"of {budget}"
+                f"UPB search visited {visited} nodes and stopped before a "
+                f"block of {nodes} would pass its budget of {budget}"
             )
         visited += nodes
 
@@ -456,7 +421,7 @@ def upb_extendibility(s: StateSet,
 
 def minimal_upb_count(dims) -> int:
     """Smallest possible member count of an unextendible product basis."""
-    return sum(int(d) - 1 for d in dims) + 1
+    return sum(d - 1 for d in plain_ints(dims, "dims")) + 1
 
 
 def minimal_upb_check(s: StateSet) -> bool:
@@ -502,7 +467,7 @@ def min_states_bound(dims) -> int:
     The smallest N with N(N - 1) >= sum over parties of (d^2 - 1); computed
     in exact integer arithmetic.
     """
-    dims = [int(d) for d in dims]
+    dims = plain_ints(dims, "dims")
     if any(d < 2 for d in dims):
         raise ValueError("every local dimension must be at least 2")
     total = sum(d * d - 1 for d in dims)

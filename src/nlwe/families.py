@@ -154,10 +154,16 @@ class StateSet:
             )
 
 
+def plain_ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, refusing any that ``is_plain_int``
+    refuses."""
+    if not all(map(is_plain_int, values := tuple(values))):
+        raise ValueError(f"{what} {values!r} must be integers")
+    return tuple(int(v) for v in values)
+
+
 def _checked_dims(dims) -> tuple[int, ...]:
-    if not all(map(is_plain_int, dims := tuple(dims))):
-        raise ValueError(f"dims {dims!r} must be integers")
-    dims = tuple(int(d) for d in dims)
+    dims = plain_ints(dims, "dims")
     if len(dims) < 1 or any(d < 1 for d in dims):
         raise ValueError("need at least one party with local dimension >= 1")
     return dims
@@ -227,7 +233,8 @@ class PartyCut:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
+        blocks = tuple(tuple(sorted(plain_ints(b, "party indices")))
+                       for b in self.blocks)
         blocks = tuple(sorted(blocks, key=lambda b: b[0] if b else -1))
         object.__setattr__(self, "blocks", blocks)
         flat = [i for b in blocks for i in b]

@@ -1,9 +1,10 @@
 """Per-node reference for the hyperplane-flat search of ``nlwe.certify``.
 
-``nlwe.certify._hyperplanes`` grows the last levels of its search in stacked
-blocks of nodes. This version grows one node at a time and tells ``tick`` of
-each node's growths before computing them, so tests can check the blocked
-search's masks, their order and its budget ticks against it.
+``nlwe.certify._hyperplanes`` grows its whole search in stacked blocks of
+nodes. This version grows one node at a time and tells ``tick`` of each
+node's growths before computing them, so tests can check the blocked
+search's masks, their order, its tick total and where a budget stops it
+against it.
 """
 
 import numpy as np

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nlwe.certify import (
     DEFAULT_PAIR_TOL,
     INCONCLUSIVE,
     EnumerationBudgetExceeded,
+    _children,
     _distinct_kets,
     _hyperplanes,
     _short,
@@ -186,6 +188,34 @@ def budget_outcome(s, budget):
         return upb_extendibility(s, budget=budget)
     except EnumerationBudgetExceeded as exc:
         return str(exc)
+
+
+def check_budget(monkeypatch, s, budget):
+    """The outcome at ``budget``, after checking it against the per-flat
+    reference search and checking that the flat growths ``_children``
+    computes stay within the budget."""
+    grown = []
+
+    def counted(block, nodes, js, leaf):
+        grown.append(len(js))
+        return _children(block, nodes, js, leaf)
+
+    with monkeypatch.context() as m:
+        m.setattr(certify_module, "_children", counted)
+        outcome = budget_outcome(s, budget)
+    assert sum(grown) <= budget
+    with monkeypatch.context() as m:
+        m.setattr(certify_module, "_hyperplanes", reference_hyperplanes)
+        reference = budget_outcome(s, budget)
+    if isinstance(outcome, str):
+        assert isinstance(reference, str)
+        visited, block = map(int, re.fullmatch(
+            rf"UPB search visited (\d+) nodes and stopped before a block of "
+            rf"(\d+) would pass its budget of {budget}", outcome).groups())
+        assert sum(grown) <= visited <= budget < visited + block
+    else:
+        assert outcome == reference
+    return outcome
 
 
 def svd_short(kets, masks):
@@ -566,11 +596,9 @@ class TestFlatReference:
             assert np.array_equal(flats, reference)
             assert sum(ticks) == sum(reference_ticks)
 
-    @pytest.mark.parametrize("levels,entries", [(4, None), (1, 1), (2, 200)])
-    def test_every_budget_on_small_sets(self, monkeypatch, levels, entries):
-        # Fewer batched levels and smaller blocks put the cutoff and the
-        # block boundaries inside these small searches.
-        monkeypatch.setattr(certify_module, "_BATCHED_LEVELS", levels)
+    @pytest.mark.parametrize("entries", [None, 1, 200])
+    def test_every_budget_on_small_sets(self, monkeypatch, entries):
+        # Smaller blocks put block boundaries inside these small searches.
         if entries is not None:
             monkeypatch.setattr(certify_module, "_FLAT_ENTRIES", entries)
         sets = [tiles(), gentiles1(4), pair_basis((2, 2))]
@@ -580,23 +608,17 @@ class TestFlatReference:
             budget = 0
             while True:
                 budget += 1
-                outcome = budget_outcome(s, budget)
-                with monkeypatch.context() as m:
-                    m.setattr(certify_module, "_hyperplanes",
-                              reference_hyperplanes)
-                    assert outcome == budget_outcome(s, budget)
-                if not isinstance(outcome, str):
+                if not isinstance(check_budget(monkeypatch, s, budget), str):
                     break
 
     def test_gentiles1_6_budgets(self, monkeypatch):
         s = gentiles1(6)
-        for budget in (1, 19, 100, 1000, 5000, 9000):
-            outcome = budget_outcome(s, budget)
-            assert "past its budget" in outcome
+        for entries in (None, 1, 200):
             with monkeypatch.context() as m:
-                m.setattr(certify_module, "_hyperplanes",
-                          reference_hyperplanes)
-                assert outcome == budget_outcome(s, budget)
+                if entries is not None:
+                    m.setattr(certify_module, "_FLAT_ENTRIES", entries)
+                for budget in (1, 19, 100, 1000, 5000, 9000):
+                    assert isinstance(check_budget(m, s, budget), str)
 
 
 class TestShort:
@@ -668,7 +690,8 @@ class TestExtendibility:
 
     def test_budget_counts_nodes_visited(self):
         with pytest.raises(EnumerationBudgetExceeded,
-                           match=r"reached 1003 nodes, past its budget of 1000"):
+                           match=r"visited 191 nodes and stopped before a "
+                                 r"block of 969 would pass its budget of 1000"):
             upb_extendibility(gentiles1(6), budget=1000)
 
     @pytest.mark.parametrize("budget", [0, -1, 2.5, True, float("nan")])
@@ -836,6 +859,18 @@ class TestMinStatesBound:
     def test_rejects_trivial_dimension(self):
         with pytest.raises(ValueError):
             min_states_bound((1, 3))
+
+    @pytest.mark.parametrize("count", [min_states_bound, minimal_upb_count])
+    @pytest.mark.parametrize("dims", [(2.9, 3.5), (3.0, 3), (True, 3),
+                                      ("3", 3)])
+    def test_rejects_non_integer_dims(self, count, dims):
+        with pytest.raises(ValueError, match="must be integers"):
+            count(dims)
+
+    def test_numpy_integer_dims(self):
+        dims = np.array([3, 3])
+        assert min_states_bound(dims) == 5
+        assert minimal_upb_count(dims) == 5
 
 
 class TestInvariance:

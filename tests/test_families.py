@@ -256,6 +256,18 @@ class TestPartyCut:
         with pytest.raises(ValueError, match="nonempty"):
             PartyCut(((0, 1), ()))
 
+    @pytest.mark.parametrize("blocks", [((0, 1.7), (2,)),
+                                        ((True, 2), (False,)),
+                                        ((0, 1.0), (2,))])
+    def test_rejects_non_integer_indices(self, blocks):
+        with pytest.raises(ValueError, match="must be integers"):
+            PartyCut(blocks)
+
+    def test_numpy_integer_indices(self):
+        cut = PartyCut(((np.int64(2), np.int32(0)), (np.uint8(1),)))
+        assert cut.blocks == ((0, 2), (1,))
+        assert all(type(i) is int for b in cut.blocks for i in b)
+
     def test_bipartitions_of_three(self):
         cuts = PartyCut.bipartitions(3)
         assert len(cuts) == 3
