@@ -235,18 +235,20 @@ def strong_nlwe(s: StateSet, tol: float = DEFAULT_PAIR_TOL) -> StrongNlweReport:
 
 @dataclass(frozen=True)
 class ExtendibilityResult:
+    """A witness split, if any, and each group's closure rank."""
+
     extendible: bool
     witness: tuple[tuple[int, ...], ...] | None
     witness_ranks: tuple[int, ...] | None
 
 
 # Complex entries per stacked array (32 MB): member masks in the partition
-# search and d-subsets in the minimality check are computed in blocks of at
-# most this size.
+# search and d-subset masks in the minimality check are computed in blocks
+# of at most this size.
 _STACK_ENTRIES = 1 << 21
-# Complex entries per stacked array of the flat search (512 KB). Past about
-# this size the block's temporaries were measured to cost several times
-# more per entry.
+# Complex entries per stacked array of the flat search and of the closure
+# growth (512 KB). Past about this size the block's temporaries were
+# measured to cost several times more per entry.
 _FLAT_ENTRIES = 1 << 15
 
 
@@ -325,28 +327,51 @@ def _hyperplanes(kets: np.ndarray, tick) -> np.ndarray:
     return np.concatenate(flats)
 
 
-def _short(kets: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Whether the complex unit rows of ``kets`` over each of the (F, N)
-    member ``masks`` fail to span, by the absolute cutoff
-    ``DEFAULT_RANK_TOL`` on their singular values.
+def _closure_ranks(kets: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Closure rank of the unit rows of ``kets`` over each of the (F, N)
+    member ``masks``: a row joins a greedy basis, in row order, unless its
+    residual against it is at most ``DEFAULT_RANK_TOL`` (the flats' rule).
 
     The smallest eigenvalue of G = sum of b b^H over a mask's rows b is the
     square of their smallest singular value, and one (F x N) (N x d^2)
     product forms every G. With N unit rows ||G|| <= N, and forming G and
-    its ``eigvalsh`` each err by at most about (N + d) eps ||G||. A mask
-    whose computed lambda_min(G) passes twice that, and at least 1e-12,
-    therefore has a smallest singular value near 1e-6 or more and spans;
-    only the other masks are decomposed.
+    its ``eigvalsh`` each err by at most about (N + d) eps ||G||. Rows within
+    the tolerance of d - 1 directions give lambda_min(G) <= N 1e-16, below
+    both twice that and 1e-12, so a mask passing both has rank d; the others
+    grow by their first open row through :func:`_children`. Masks with the
+    same greedy basis share its residuals, so each round grows every
+    distinct (basis, first open row) once, with the rows below that row
+    closed: they are outside the masks or in the basis's closure. Masks
+    grow in chunks whose rows hold at most ``_FLAT_ENTRIES`` entries.
     """
     n, d = kets.shape
     outer = (kets[:, :, None] * kets[:, None, :].conj()).reshape(n, d * d)
     gram = (masks.astype(float) @ outer.view(float)).view(complex)
     lam = np.linalg.eigvalsh(gram.reshape(-1, d, d))[:, 0]
-    unclear = lam <= max(1e-12, 2 * (n + d) * n * np.finfo(float).eps)
-    svals = np.linalg.svd(kets * masks[unclear, :, None], compute_uv=False)
-    out = np.zeros(len(masks), dtype=bool)
-    out[unclear] = np.count_nonzero(svals > DEFAULT_RANK_TOL, axis=-1) < d
-    return out
+    cutoff = max(1e-12, 2 * (n + d) * n * np.finfo(float).eps)
+    unclear = (lam <= cutoff).nonzero()[0]
+    ranks = np.full(len(masks), d)
+    step = max(1, _FLAT_ENTRIES // (n * d))
+    for start in range(0, len(unclear), step):
+        live = unclear[start:start + step]
+        basis = np.zeros(len(live), dtype=int)
+        block = (kets[None], np.zeros((1, n), dtype=bool),
+                 np.linalg.norm(kets, axis=1)[None], None)
+        closed = block[1]
+        for rank in range(d - 1):
+            rows = masks[live] & ~closed[basis]
+            has = rows.any(axis=1)
+            ranks[live[~has]] = rank
+            live, basis, rows = live[has], basis[has], rows[has]
+            key, basis = np.unique(basis * n + rows.argmax(axis=1),
+                                   return_inverse=True)
+            nodes, js = np.divmod(key, n)
+            block = _children(
+                (block[0][nodes], closed[nodes] | (np.arange(n) < js[:, None]),
+                 block[2][nodes], None), np.arange(len(js)), js, rank + 2 == d)
+            closed = block if rank + 2 == d else block[1]
+        ranks[live] = d - 1 + (masks[live] & ~closed[basis]).any(axis=1)
+    return ranks
 
 
 def upb_extendibility(s: StateSet,
@@ -366,7 +391,7 @@ def upb_extendibility(s: StateSet,
     block at a time, before the block is computed (see :func:`_hyperplanes`);
     the search raises ``EnumerationBudgetExceeded`` instead of computing a
     block that would pass it, naming the nodes visited and the block's size.
-    A member group is short by the Gram prefilter of :func:`_short`.
+    Shortness and witness ranks follow the flats' rule, :func:`_closure_ranks`.
     ``budget`` must be a positive int.
     """
     if not is_plain_int(budget) or budget < 1:
@@ -399,7 +424,7 @@ def upb_extendibility(s: StateSet,
             block = flats[alpha][start:start + step]
             take, rest = block & members, ~block & members
             tick(len(rest))
-            done = _short(local[alpha + 1], rest)
+            done = _closure_ranks(local[alpha + 1], rest) < s.dims[alpha + 1]
             for i in range(len(rest)):
                 if done[i]:
                     return [take[i], rest[i], *nothing]
@@ -414,8 +439,8 @@ def upb_extendibility(s: StateSet,
         return ExtendibilityResult(False, None, None)
     witness = tuple(tuple(int(m) for m in np.flatnonzero(group))
                     for group in found[1:])
-    ranks = tuple(numerical_rank(local[alpha][list(group)])
-                  for alpha, group in enumerate(witness))
+    ranks = tuple(int(_closure_ranks(local[alpha], group[None])[0])
+                  for alpha, group in enumerate(found[1:]))
     return ExtendibilityResult(True, witness, ranks)
 
 
@@ -429,7 +454,12 @@ def minimal_upb_check(s: StateSet) -> bool:
 
     True iff the set has exactly the minimal member count and, on every
     party, every choice of d local states is linearly independent. For sets
-    of that size this characterizes unextendibility.
+    of that size this characterizes unextendibility. Independence is the
+    flats' closure rule: a party passes iff each d-subset of its kets has
+    closure rank d (see :func:`_closure_ranks`), or, where the flat search
+    of K distinct kets visits fewer nodes (at most the sum of C(K, r) over
+    r < d) than there are d-subsets, iff it has a flat and no flat holds d
+    members (see :func:`_hyperplanes`).
     """
     _require_product(s, "minimality check")
     n = s.n_states
@@ -437,13 +467,17 @@ def minimal_upb_check(s: StateSet) -> bool:
         return False
     for alpha, d in enumerate(s.dims):
         v = s.local_matrix(alpha)
+        kets, ket_id = _distinct_kets(v)
+        if math.comb(n, d) > sum(math.comb(len(kets), r) for r in range(d)):
+            flats = _hyperplanes(kets, lambda m: None)
+            if not len(flats) or (flats @ np.bincount(ket_id) >= d).any():
+                return False
+            continue
         subsets = itertools.combinations(range(n), d)
-        # One stacked SVD per block of subsets, each ranked against its own
-        # largest singular value as in ``numerical_rank``.
-        step = max(1, _STACK_ENTRIES // (d * d))
+        step = max(1, _STACK_ENTRIES // (n * d))
         while block := list(itertools.islice(subsets, step)):
-            svals = np.linalg.svd(v[np.array(block)], compute_uv=False)
-            if (svals[:, -1] <= DEFAULT_RANK_TOL * svals[:, 0]).any():
+            masks = (np.array(block)[..., None] == np.arange(n)).any(axis=1)
+            if (_closure_ranks(v, masks) < d).any():
                 return False
     return True
 
@@ -479,7 +513,11 @@ def min_states_bound(dims) -> int:
 
 @dataclass(frozen=True)
 class UpbReport:
-    """Combined extendibility, minimality and indiscriminability report."""
+    """Combined extendibility, minimality and indiscriminability report.
+
+    ``local_ranks`` are the witness groups' closure ranks: the flats' rule
+    of :func:`_closure_ranks`, not the relative cutoff of ``numerical_rank``.
+    """
 
     is_unextendible: bool
     witness_partition: tuple[tuple[int, ...], ...] | None

@@ -492,6 +492,8 @@ def from_payload(payload: dict) -> StateSet:
         dims = payload["dims"]
         if not all(map(is_plain_int, dims)):
             raise ValueError(f"dims {dims!r} must be integers")
+        if any(isinstance(p, str) for p in payload["priors"]):
+            raise ValueError("priors must be numbers, not strings")
         priors = [float(p) for p in payload["priors"]]
         kets = _payload_kets(payload["states"], len(dims))
         if kets is None:

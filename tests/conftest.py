@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,29 @@ def general_position_upb(d: int, seed: int) -> StateSet:
                 v = v - q @ (q.conj().T @ v)
             column.append(v / np.linalg.norm(v))
     return StateSet((d, d), list(zip(*kets)))
+
+
+def near_dependent_upb(d: int, seed: int, party: int, eps: float,
+                       j: int) -> StateSet:
+    """``general_position_upb(d, seed)`` with ket j of ``party`` moved to
+    distance ``eps`` from the span of d - 1 other kets of that party.
+
+    The d - 1 kets are drawn from ``default_rng([d, seed, party, j])``. The
+    moved ket keeps its projection onto their span, rescaled to norm
+    sqrt(1 - eps^2), and its unit direction off the span, scaled to eps. The
+    set is no longer orthogonal, so it is built unvalidated.
+    """
+    s = general_position_upb(d, seed)
+    kets = [s.local_matrix(alpha).copy() for alpha in range(2)]
+    v = kets[party]
+    others = np.random.default_rng([d, seed, party, j]).choice(
+        np.delete(np.arange(len(v)), j), size=d - 1, replace=False)
+    q = np.linalg.qr(v[others].T)[0]
+    inside = q @ (q.conj().T @ v[j])
+    off = v[j] - inside
+    v[j] = (math.sqrt(1 - eps ** 2) * inside / np.linalg.norm(inside)
+            + eps * off / np.linalg.norm(off))
+    return StateSet((d, d), list(zip(*kets)), validate=False)
 
 
 def shifts_upb() -> StateSet:

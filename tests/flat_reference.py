@@ -1,15 +1,19 @@
-"""Per-node reference for the hyperplane-flat search of ``nlwe.certify``.
+"""References for the UPB decisions of ``nlwe.certify``.
 
 ``nlwe.certify._hyperplanes`` grows its whole search in stacked blocks of
-nodes. This version grows one node at a time and tells ``tick`` of each
-node's growths before computing them, so tests can check the blocked
+nodes. :func:`hyperplanes` grows one node at a time and tells ``tick`` of
+each node's growths before computing them, so tests can check the blocked
 search's masks, their order, its tick total and where a budget stops it
-against it.
+against it. :func:`closure_rank` is the closure rule for one member mask,
+one row at a time, and :func:`subset_minimal` the minimality test by one
+singular-value decomposition per d-subset of each party's kets.
 """
+
+import itertools
 
 import numpy as np
 
-from nlwe.certify import _STACK_ENTRIES
+from nlwe.certify import _STACK_ENTRIES, minimal_upb_count
 from nlwe.linalg import DEFAULT_RANK_TOL
 
 
@@ -51,3 +55,35 @@ def hyperplanes(kets: np.ndarray, tick) -> np.ndarray:
     if d > 1:
         grow(kets, np.zeros(k, dtype=bool), np.linalg.norm(kets, axis=1))
     return np.concatenate(flats)
+
+
+def closure_rank(kets: np.ndarray, mask: np.ndarray) -> int:
+    """Closure rank of the rows of ``kets`` in ``mask``.
+
+    Row by row, in row order, Gram-Schmidt takes a row's residual against
+    the basis so far, and the row joins the basis when that residual
+    exceeds ``DEFAULT_RANK_TOL``; the count stops at d.
+    """
+    basis = []
+    for row in kets[mask]:
+        for u in basis:
+            row = row - (u.conj() @ row) * u
+        norm = np.linalg.norm(row)
+        if norm > DEFAULT_RANK_TOL and len(basis) < kets.shape[1]:
+            basis.append(row / norm)
+    return len(basis)
+
+
+def subset_minimal(s) -> bool:
+    """Whether ``s`` has the minimal member count and, on every party,
+    every d of its local kets are independent: each d-subset's smallest
+    singular value exceeds ``DEFAULT_RANK_TOL`` times its largest."""
+    if s.n_states != minimal_upb_count(s.dims):
+        return False
+    for alpha, d in enumerate(s.dims):
+        subsets = list(itertools.combinations(range(s.n_states), d))
+        svals = np.linalg.svd(s.local_matrix(alpha)[np.array(subsets)],
+                              compute_uv=False)
+        if (svals[:, -1] <= DEFAULT_RANK_TOL * svals[:, 0]).any():
+            return False
+    return True

@@ -145,6 +145,8 @@ def reference_from_payload(payload: dict) -> ReferenceStateSet:
         dims = payload["dims"]
         if not all(map(is_plain_int, dims)):
             raise ValueError(f"dims {dims!r} must be integers")
+        if any(isinstance(p, str) for p in payload["priors"]):
+            raise ValueError("priors must be numbers, not strings")
         priors = [float(p) for p in payload["priors"]]
         states = [
             [np.array([complex(re, im) for re, im in ket]) for ket in entry]

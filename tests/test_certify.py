@@ -12,9 +12,9 @@ from nlwe.certify import (
     INCONCLUSIVE,
     EnumerationBudgetExceeded,
     _children,
+    _closure_ranks,
     _distinct_kets,
     _hyperplanes,
-    _short,
     certify,
     certify_cut,
     certify_minimal_upb,
@@ -45,9 +45,11 @@ from conftest import (
     general_position_upb,
     gentiles1_witness_dyads,
     haar_unitary,
+    near_dependent_upb,
     permute_states,
     shifts_upb,
 )
+from flat_reference import closure_rank, subset_minimal
 from flat_reference import hyperplanes as reference_hyperplanes
 
 certify_module = importlib.import_module("nlwe.certify")
@@ -193,15 +195,24 @@ def budget_outcome(s, budget):
 def check_budget(monkeypatch, s, budget):
     """The outcome at ``budget``, after checking it against the per-flat
     reference search and checking that the flat growths ``_children``
-    computes stay within the budget."""
-    grown = []
+    computes inside ``_hyperplanes`` stay within the budget."""
+    grown, inside = [], []
 
     def counted(block, nodes, js, leaf):
-        grown.append(len(js))
+        if inside:
+            grown.append(len(js))
         return _children(block, nodes, js, leaf)
+
+    def hyperplanes(kets, tick):
+        inside.append(True)
+        try:
+            return _hyperplanes(kets, tick)
+        finally:
+            inside.pop()
 
     with monkeypatch.context() as m:
         m.setattr(certify_module, "_children", counted)
+        m.setattr(certify_module, "_hyperplanes", hyperplanes)
         outcome = budget_outcome(s, budget)
     assert sum(grown) <= budget
     with monkeypatch.context() as m:
@@ -218,11 +229,8 @@ def check_budget(monkeypatch, s, budget):
     return outcome
 
 
-def svd_short(kets, masks):
-    """The plain rule: fewer than d singular values above the cutoff."""
-    svals = np.linalg.svd(kets * masks[..., None], compute_uv=False)
-    return (np.count_nonzero(svals > DEFAULT_RANK_TOL, axis=-1)
-            < kets.shape[1])
+def reference_ranks(kets, masks):
+    return np.array([closure_rank(kets, mask) for mask in masks])
 
 
 def near_cutoff_stack(rng, n, d, sigma):
@@ -240,12 +248,14 @@ def near_cutoff_stack(rng, n, d, sigma):
 
 
 def assert_witness(s, result):
-    """The witness partitions the members and leaves every party short."""
+    """The witness partitions the members and leaves every party short by
+    the closure rule."""
     groups = result.witness
     assert len(groups) == s.parties
     assert sorted(m for g in groups for m in g) == list(range(s.n_states))
     for alpha, (group, d) in enumerate(zip(groups, s.dims)):
-        rank = numerical_rank(s.local_matrix(alpha)[list(group)])
+        mask = np.isin(np.arange(s.n_states), group)
+        rank = closure_rank(s.local_matrix(alpha), mask)
         assert rank == result.witness_ranks[alpha] < d
 
 
@@ -622,7 +632,8 @@ class TestFlatReference:
 
 
 class TestShort:
-    """The Gram prefilter gives the plain singular-value rule's answer."""
+    """Which masks are short: the Gram prefilter and the stacked growth
+    give the per-mask closure rank of ``flat_reference.closure_rank``."""
 
     def test_random_masks(self):
         rng = np.random.default_rng(31)
@@ -631,8 +642,8 @@ class TestShort:
             for alpha in range(s.parties):
                 kets = s.local_matrix(alpha)
                 masks = rng.random((50, s.n_states)) < rng.random((50, 1))
-                assert np.array_equal(_short(kets, masks),
-                                      svd_short(kets, masks))
+                assert np.array_equal(_closure_ranks(kets, masks),
+                                      reference_ranks(kets, masks))
 
     @pytest.mark.parametrize("n", [6, 200])
     @pytest.mark.parametrize("sigma", [1e-6, 5e-9, 2e-8, 1e-10])
@@ -645,10 +656,11 @@ class TestShort:
             masks = rng.random((40, n)) < 0.8
             masks[:2] = True
             masks[1, -1] = False
-            short = _short(kets, masks)
-            assert np.array_equal(short, svd_short(kets, masks))
-            assert short[0] == (smallest <= DEFAULT_RANK_TOL)
-            assert short[1]
+            ranks = _closure_ranks(kets, masks)
+            assert np.array_equal(ranks, reference_ranks(kets, masks))
+            # The last ket's residual against the plane is sigma.
+            assert ranks[0] == d - (sigma <= DEFAULT_RANK_TOL)
+            assert ranks[1] == d - 1
 
     def test_many_parallel_kets(self):
         # 2,000 unit kets in one plane of C^3, close to one another: the
@@ -663,8 +675,29 @@ class TestShort:
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
         masks = rng.random((20, n)) < 0.9
         masks[0] = True
-        assert svd_short(kets, masks).all()
-        assert _short(kets, masks).all()
+        ranks = _closure_ranks(kets, masks)
+        assert (ranks == 2).all()
+        assert np.array_equal(ranks, reference_ranks(kets, masks))
+
+
+class TestPartyOrder:
+    """One closure rule for every party: a ket moved to tolerance scale
+    from a dependency gives the same verdict under either party order, and
+    the minimality check never passes a set the search extends."""
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_near_dependent_sets(self, d, seed):
+        for party, eps, j in itertools.product(
+                (0, 1), (1e-7, 3e-8, 1e-8, 3e-9), (0, d)):
+            s = near_dependent_upb(d, seed, party, eps, j)
+            # Both orders from the same rows, so their kets are bit-equal.
+            orders = [StateSet(s.dims, [m[::step] for m in s.states],
+                               validate=False) for step in (1, -1)]
+            results = [upb_extendibility(t) for t in orders]
+            assert results[0].extendible == results[1].extendible
+            for t, result in zip(orders, results):
+                assert not (result.extendible and minimal_upb_check(t))
 
 
 class TestExtendibility:
@@ -751,6 +784,38 @@ class TestExtendibility:
         assert seen == {(2, False), (2, True), (3, False), (3, True)}
 
 
+MINIMAL_DIMS = [(1, 3), (3, 1), (2, 2), (2, 3), (3, 3), (4, 2), (3, 4),
+                (2, 2, 2), (1, 2, 3), (2, 8), (6, 3), (2, 2, 5)]
+
+
+def minimal_count_set(rng):
+    """A product set of the minimal member count for random dims.
+
+    Each party of d >= 2 holds, one time in four each, kets drawn from a
+    pool smaller than the set (so kets repeat) or kets inside a random
+    subspace of dimension below d - 1 (or d - 1 itself when d = 2), and
+    random kets otherwise. Validation is off.
+    """
+    dims = MINIMAL_DIMS[rng.integers(len(MINIMAL_DIMS))]
+    n = minimal_upb_count(dims)
+
+    def gauss(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    columns = []
+    for d in dims:
+        kind = rng.integers(4) if d > 1 else 0
+        if kind == 1:
+            v = gauss(n - 1, d)[rng.integers(n - 1, size=n)]
+        elif kind == 2:
+            r = int(rng.integers(1, max(2, d - 1)))
+            v = gauss(n, r) @ gauss(r, d)
+        else:
+            v = gauss(n, d)
+        columns.append(v)
+    return StateSet(dims, list(zip(*columns)), validate=False)
+
+
 class TestMinimalUpb:
     def test_tiles_minimal(self):
         s = tiles()
@@ -807,6 +872,33 @@ class TestMinimalUpb:
         for s in candidates:
             assert s.n_states == minimal_upb_count(s.dims)
             assert minimal_upb_check(s) == (not upb_extendibility(s).extendible)
+
+    @pytest.mark.parametrize("start", range(0, 400, 100))
+    def test_matches_subset_enumeration(self, start):
+        # Minimal-count sets whose parties hold random kets, repeated kets,
+        # kets spanning fewer than d - 1 dimensions (no flat), or d = 1.
+        for case in range(start, start + 100):
+            s = minimal_count_set(np.random.default_rng([41, case]))
+            assert minimal_upb_check(s) == subset_minimal(s)
+
+    @pytest.mark.parametrize("dims", [(2, 20), (3, 12), (3, 3, 8), (2, 2, 2, 2)])
+    def test_growths_within_subset_count(self, monkeypatch, dims):
+        # A party's flats are searched only when that makes fewer growths
+        # than it has d-subsets; generic subsets clear the Gram prefilter.
+        rng = np.random.default_rng(list(dims))
+        n = minimal_upb_count(dims)
+        s = StateSet(dims, list(zip(*[
+            rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+            for d in dims])), validate=False)
+        grown = []
+
+        def counted(block, nodes, js, leaf):
+            grown.append(len(js))
+            return _children(block, nodes, js, leaf)
+
+        monkeypatch.setattr(certify_module, "_children", counted)
+        assert minimal_upb_check(s)
+        assert 0 < sum(grown) <= sum(math.comb(n, d) for d in dims)
 
     def test_report_composition(self):
         report = upb_report(tiles())

@@ -574,6 +574,7 @@ BAD_PAYLOADS = {
     "int amplitude beyond float": edited(set_pair(1, 1, 1, [10**400, 0])),
     "int prior beyond float": edited(lambda p: p["priors"].__setitem__(
         0, 10**400)),
+    "string priors": edited(lambda p: p.update(priors=["0.2"] * 5)),
     "states not a list": edited(lambda p: p.update(states=5)),
     "entry is a string": edited(lambda p: p["states"].__setitem__(0, "ab")),
     "no states": edited(lambda p: p.pop("states")),
@@ -584,6 +585,8 @@ BAD_PAYLOADS = {
 }
 
 GOOD_PAYLOADS = {
+    "bool prior": {"version": 1, "dims": [2], "priors": [True],
+                   "states": [[[[1, 0], [0, 0]]]]},
     "int and bool amplitudes": edited(lambda p: p["states"].__setitem__(
         1, [[[1, 0], [False, False], [0, 0]],
             [[True, False], [-1, 0], [0.0, 0]]])),
