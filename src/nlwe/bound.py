@@ -119,7 +119,8 @@ class BoundResult:
     evaluations, which in a lockstep round can be a value another radius
     reached in that round (see ``_sweep``). It is the distance of a point
     at that radius, so still an upper estimate of the radius's minimum, and
-    strictly below ``diagnostics["max_delta"]``.
+    strictly below ``diagnostics["max_delta"]``. Every distance is the root
+    of the descents' own kernel at weight 0, at the placed point.
     ``restarts_total`` counts the restarts actually run and
     ``projected_total`` those placed at their radius, so the difference
     counts unplaced restarts. ``converged_fraction`` is the share of every
@@ -138,7 +139,7 @@ class BoundResult:
 
 
 class _BoundProblem:
-    """Distance evaluators in the member basis, from local parts only.
+    """The distance kernel's data in the member basis, from local parts.
 
     Members are combinations of product kets ("atoms"), one stack X_a per
     party: a product set's members scaled by w = sqrt(p), else the
@@ -190,17 +191,6 @@ class _BoundProblem:
     def members(self, h):
         """``Pi Q Pi`` in the member basis from the atoms' matrix H."""
         return h if self.coeff is None else self.coeff[0] @ h @ self.coeff[1]
-
-    def delta(self, psd) -> float:
-        """Scaled zonotope distance of kron(psd); 0 below TRACE_FLOOR."""
-        shape, slots = self.slots[tuple((d, d) for d in self.dims)]
-        parts = np.zeros(shape, complex)
-        parts.view(float).flat[slots] = _pack(psd)
-        p = self.members((self.bra @ parts @ self.ket).prod(axis=0))
-        t = p.trace().real
-        if t < TRACE_FLOOR:
-            return 0.0
-        return float(np.linalg.norm(p * self.off_diagonal) / t)
 
 
 def _pack(factors) -> np.ndarray:
@@ -597,34 +587,24 @@ def _descent(x, max_iters: int, tol: float):
         x, f, g = x_new, f_new, g_new
 
 
-def _lbfgs(fun, x, args, max_iters: int, tol: float):
-    """Minimize ``fun(x, *args) -> (value, gradient)`` from x by
-    ``_descent``: (x, converged)."""
-    descent = _descent(x, max_iters, tol)
-    trial = next(descent)
-    while True:
-        try:
-            trial = descent.send(fun(trial, *args))
-        except StopIteration as done:
-            return done.value
-
-
 def _restart(problem: _BoundProblem, r_target: float, stop,
              opts: OptimizerOptions, seed_key: tuple, k: int):
     """Restart ``k`` at one radius, a coroutine for ``_lockstep``: yields
     kernel requests (shapes, point, weight, rsq_target), receives (value,
     gradient) for each, returns (scaled distance or None, converged, stopped).
 
-    None means the descent ended at a point that could not be projected onto
-    the radius; ``converged`` still reports whether its ``_descent`` stages
-    converged. ``stop`` is the cut check, None for no cut: it is asked at
-    every evaluation, and the descent stops at its first point whose
-    penalized objective it accepts. That point is then placed and measured
-    like a final one, and the restart reports converged and stopped. A
-    stopped point the projection refuses is rerun without a cut, so a
-    stopped result always has a value. Each (seed key, restart) pair has its
-    own seed stream, so a restart returns the same value whatever else runs
-    before or beside it.
+    The end point is placed on the radius (the projected parts' Cholesky
+    factors; rank-one factors stay) and measured by one last request with
+    weight 0, whose root is the distance. None means the descent ended at a
+    point that could not be projected; ``converged`` still reports whether
+    its ``_descent`` stages converged. ``stop`` is the cut check, None for
+    no cut: it is asked at every descent evaluation, and the descent stops
+    at its first point whose penalized objective it accepts. That point is
+    then placed and measured like a final one, and the restart reports
+    converged and stopped. A stopped point the projection refuses is rerun
+    without a cut, so a stopped result always has a value. Each (seed key,
+    restart) pair has its own seed stream, so a restart returns the same
+    value whatever else runs before or beside it.
     """
     if r_target < 1e-14:
         # Only multiples of the identity sit at radius zero.
@@ -674,15 +654,18 @@ def _restart(problem: _BoundProblem, r_target: float, stop,
         if stopped:
             break
         weight *= 10.0
-    psd = [f.conj().T @ f for f in _unpack(x, shapes)]
     if not rank_one:
-        psd = _project_to_radius(psd, r_target)
+        psd = _project_to_radius([f.conj().T @ f for f in _unpack(x, shapes)],
+                                 r_target)
         if psd is None and stopped:
             return (yield from _restart(problem, r_target, None, opts,
                                         seed_key, k))
         if psd is None:
             return None, converged, stopped
-    return problem.delta(psd), converged, stopped
+        # Each part is positive definite (t stops short of t_max): A = L^dag L.
+        x = _pack([np.linalg.cholesky(a).conj().T for a in psd])
+    value, _ = yield shapes, x, 0.0, rsq_target
+    return math.sqrt(value), converged, stopped
 
 
 def _lockstep(problem: _BoundProblem, coroutines) -> list:

@@ -114,14 +114,16 @@ def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
     so one dyad per distinct (ket, ket) is ranked; tile constructions reuse
     each local ket across many members.
 
+    The rank is #{sigma_k(S) > tol F} for the stack S of distinct dyads,
+    tol = ``DEFAULT_RANK_TOL`` and F = ||S||_F, whichever path decides it.
     Prefixes P of d^2 + d, 2 (d^2 + d), ... rows, in a fixed pseudo-random
     order and at most a quarter of the stack, are ranked until one settles
-    the whole stack S, which is ranked itself only when none does; prefixes
-    that settle nothing add under half of S's rows. With tol = ``DEFAULT_RANK_TOL``,
-    sigma_k(S) >= sigma_k(P) and sigma_1(S) <= F = ||S||_F give
-    rank >= #{sigma_k(P) > tol F}; sigma_{d^2}(S) <= tau, the norm of S's
-    identity component, gives rank <= d^2 - 1 when tau <= tol sigma_1(P).
-    P settles S when the two bounds meet.
+    S, which is ranked itself (``numerical_rank``) only when none does;
+    prefixes that settle nothing add under half of S's rows.
+    sigma_k(S) >= sigma_k(P) gives rank >= #{sigma_k(P) > tol F};
+    sigma_{d^2}(S) <= tau, the norm of S's identity component, gives
+    rank <= d^2 - 1 when tau <= tol sigma_1(P) <= tol F. P settles S when
+    the two bounds meet.
     """
     _require_product(s, "dyad ranking")
     if not 0 <= party < s.parties:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import normalized, row_norms, tensor
+from .linalg import normalized, row_norms, tensor, unit_divisors
 
 ORTHOGONALITY_TOL = 1e-10
 PRIOR_SUM_TOL = 1e-10
@@ -40,7 +40,9 @@ class StateSet:
 
     Kets are normalized on construction, so families may be written down with
     whatever scale factors are convenient; a product set's are normalized
-    and checked party by party, on those arrays. Validation checks that
+    and checked party by party, on those arrays. A ket that is already unit
+    (``unit_divisors``) keeps its bits, so a set rebuilt from its own
+    ``states`` is the same set. Validation checks that
     priors are finite, positive and sum to one, and that all global states
     are pairwise orthogonal; pass ``validate=False`` only for deliberately
     non-orthogonal test inputs.
@@ -211,7 +213,7 @@ def _unit_columns(dims, columns) -> tuple[np.ndarray, ...]:
                 _member_kets(m, entry, dims)
             raise AssertionError("a faulty ket passed its member's checks")
         # Row m is bit-identical to normalized(v[m]).
-        v = v / norms[:, None]
+        v = v / unit_divisors(norms)[:, None]
         v.setflags(write=False)
         units.append(v)
     return tuple(units)

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-# Relative singular-value cutoff for rank decisions. The state families
-# handled here have spectral gaps many orders of magnitude above this.
+# Singular-value cutoff for rank decisions, relative to the Frobenius norm.
+# The state families handled here have spectral gaps far above this.
 DEFAULT_RANK_TOL = 1e-8
 
 
@@ -36,7 +36,14 @@ def normalized(v) -> np.ndarray:
         raise ValueError("cannot normalize the zero vector")
     if not np.isfinite(norm):
         raise ValueError("ket norm overflows")
-    return ket / norm
+    return ket / unit_divisors(norm)
+
+
+def unit_divisors(norms):
+    """The norms kets are divided by, 1 where within 4 eps of 1: normalized
+    kets' norms are within 2 eps (d <= 256), so renormalizing keeps bits."""
+    return np.where(np.abs(norms - 1.0) <= 4 * np.finfo(float).eps, 1.0,
+                    norms)
 
 
 def row_norms(v) -> np.ndarray:
@@ -83,10 +90,12 @@ def numerical_rank(mats) -> int:
     Inputs are stacked along the first axis of one array, or given as a
     sequence of same-shape arrays; ragged input raises ``ValueError``. Each
     is flattened into one row; the rank is the number of singular values
-    exceeding ``DEFAULT_RANK_TOL`` times the largest one. Empty input: rank 0.
+    exceeding ``DEFAULT_RANK_TOL`` times the stack's Frobenius norm, the
+    certifier's prefix cutoff. Empty input: rank 0.
     """
     if len(mats) == 0:
         return 0
     stack = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
     svals = np.linalg.svd(stack, compute_uv=False)
-    return int(np.count_nonzero(svals > DEFAULT_RANK_TOL * svals[0]))
+    return int(np.count_nonzero(svals > DEFAULT_RANK_TOL
+                                * np.linalg.norm(svals)))

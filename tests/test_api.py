@@ -38,3 +38,10 @@ def test_test_only_helpers_not_in_package():
             assert not hasattr(importlib.import_module(module), name)
     assert not hasattr(PartyCut, "trivial")
     assert not hasattr(DyadCertificate, "record")
+
+
+def test_bound_has_one_distance_kernel():
+    # Placed points are measured by the descents' kernel, and the L-BFGS
+    # driver that only tests called is gone with the second evaluator.
+    assert not hasattr(nlwe.bound, "_lbfgs")
+    assert not hasattr(nlwe.bound._BoundProblem, "delta")

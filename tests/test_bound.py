@@ -10,11 +10,12 @@ from nlwe.bound import (
     BoundResult,
     OptimizerOptions,
     _BoundProblem,
-    _lbfgs,
+    _descent,
     _lockstep,
     _objective,
     _pack,
     _project_to_radius,
+    _rescale_factors,
     _restart,
     _unpack,
     distance_from_identity,
@@ -48,6 +49,28 @@ FAST_OPTS = OptimizerOptions(r_steps=5, restarts=8, refine_levels=1)
 def run_restart(problem, *args):
     """What one ``_restart`` returns, run alone through ``_lockstep``."""
     return _lockstep(problem, [_restart(problem, *args)])[0]
+
+
+def drive(problem, restart):
+    """Run a ``_restart`` by hand, one point per kernel call: the requests
+    it made, in order, and what it returned."""
+    requests = []
+    request = next(restart)
+    while True:
+        requests.append(request)
+        shapes, x, weight, target = request
+        try:
+            request = restart.send(
+                _objective(x, problem, shapes, weight, target))
+        except StopIteration as done:
+            return requests, done.value
+
+
+def kernel_distance(problem, factors):
+    """The scaled distance of kron(L_a^dag L_a), as the restarts measure
+    it: the root of the kernel's value at the factors with weight 0."""
+    shapes = [f.shape for f in factors]
+    return math.sqrt(_objective(_pack(factors), problem, shapes, 0.0, 0.0)[0])
 
 
 def phased_bell():
@@ -419,7 +442,10 @@ class TestObjectiveReference:
         for value, grad in self.evaluate(s, factors, 0.0):
             assert value == 0.0
             assert not grad.any()
-        assert _BoundProblem(s).delta([f.conj().T @ f for f in factors]) == 0.0
+        # The full-shape kernel at factors of the same parts: a rank-one
+        # factor padded with a zero row gives the same L^dag L.
+        full = [np.vstack([f, np.zeros((2 - rows, 2))]) for f in factors]
+        assert kernel_distance(_BoundProblem(s), full) == 0.0
         # Only the radius penalty is left. Rank-one parts sit at the largest
         # radius, where its gradient vanishes up to rounding.
         (value, grad), (ref_value, ref_grad) = self.evaluate(s, factors, 10.0)
@@ -670,8 +696,21 @@ def scipy_lbfgsb(fun, x, max_iters=300, tol=1e-14):
         options={"maxiter": max_iters, "ftol": tol, "gtol": 1e-12})
 
 
+def lbfgs(fun, x, args, max_iters, tol):
+    """Minimize ``fun(x, *args) -> (value, gradient)`` from x by driving
+    ``_descent`` to its end: (x, converged)."""
+    descent = _descent(x, max_iters, tol)
+    trial = next(descent)
+    while True:
+        try:
+            trial = descent.send(fun(trial, *args))
+        except StopIteration as done:
+            return done.value
+
+
 class TestLbfgs:
-    """``_lbfgs`` against scipy's L-BFGS-B, whose unbounded path it ports."""
+    """``_descent``, driven by ``lbfgs``, against scipy's L-BFGS-B, whose
+    unbounded path it ports."""
 
     @pytest.mark.parametrize("n", [5, 10, 20, 40])
     def test_ill_conditioned_quadratic(self, rng, n):
@@ -683,7 +722,7 @@ class TestLbfgs:
         b = rng.normal(size=n)
         fun = quadratic(a, b)
         x0 = rng.normal(size=n)
-        x, _ = _lbfgs(fun, x0, (), 5000, 1e-14)
+        x, _ = lbfgs(fun, x0, (), 5000, 1e-14)
         ref = scipy_lbfgsb(fun, x0, max_iters=5000)
         minimum = fun(np.linalg.solve(a, b))[0]
         assert abs(fun(x)[0] - ref.fun) <= 1e-10
@@ -692,7 +731,7 @@ class TestLbfgs:
     @pytest.mark.parametrize("n", [2, 5, 10])
     def test_rosenbrock(self, n):
         x0 = np.where(np.arange(n) % 2, 1.0, -1.2)
-        x, converged = _lbfgs(rosenbrock, x0, (), 300, 1e-14)
+        x, converged = lbfgs(rosenbrock, x0, (), 300, 1e-14)
         ref = scipy_lbfgsb(rosenbrock, x0)
         assert converged and ref.success
         assert abs(rosenbrock(x)[0] - ref.fun) <= 1e-10
@@ -702,7 +741,7 @@ class TestLbfgs:
         # Started at the minimizer: no step, converged.
         fun = quadratic(np.diag([1.0, 2.0]), np.array([1.0, 2.0]))
         x0 = np.ones(2)
-        x, converged = _lbfgs(fun, x0, (), 300, 1e-14)
+        x, converged = lbfgs(fun, x0, (), 300, 1e-14)
         ref = scipy_lbfgsb(fun, x0)
         assert converged and ref.success
         assert np.array_equal(x, x0)
@@ -715,21 +754,21 @@ class TestLbfgs:
             return rosenbrock(x)
 
         x0 = np.array([-1.2, 1.0])
-        _, converged = _lbfgs(counting, x0, (), 300, 1e-3)
+        _, converged = lbfgs(counting, x0, (), 300, 1e-3)
         ref = scipy_lbfgsb(rosenbrock, x0, tol=1e-3)
         assert converged and ref.success and ref.nit < 300
         assert len(calls) == ref.nfev
 
     def test_max_iters_stop(self):
         x0 = np.array([-1.2, 1.0])
-        x, converged = _lbfgs(rosenbrock, x0, (), 5, 1e-14)
+        x, converged = lbfgs(rosenbrock, x0, (), 5, 1e-14)
         ref = scipy_lbfgsb(rosenbrock, x0, max_iters=5)
         assert not converged and not ref.success and ref.nit == 5
         assert rosenbrock(x)[0] < rosenbrock(x0)[0]
         # The iteration limit is checked before the convergence tests: a
         # limit equal to the iterations that converge still ends unconverged.
         nit = scipy_lbfgsb(rosenbrock, x0, tol=1e-3).nit
-        _, converged = _lbfgs(rosenbrock, x0, (), nit, 1e-3)
+        _, converged = lbfgs(rosenbrock, x0, (), nit, 1e-3)
         assert not converged
         assert not scipy_lbfgsb(rosenbrock, x0, max_iters=nit,
                                 tol=1e-3).success
@@ -741,7 +780,7 @@ class TestLbfgs:
             return 0.0, np.ones_like(x)
 
         x0 = np.array([0.5, -0.5])
-        x, converged = _lbfgs(flat, x0, (), 300, 1e-14)
+        x, converged = lbfgs(flat, x0, (), 300, 1e-14)
         ref = scipy_lbfgsb(flat, x0)
         assert not converged and not ref.success
         assert np.array_equal(x, x0)
@@ -762,8 +801,8 @@ class TestLbfgs:
                 return (yield from search(x, f, g, d, stp))
 
             monkeypatch.setattr(bound, "_line_search", failing)
-            x, converged = _lbfgs(rosenbrock, np.array([-1.2, 1.0]), (),
-                                  300, 1e-14)
+            x, converged = lbfgs(rosenbrock, np.array([-1.2, 1.0]), (),
+                                 300, 1e-14)
             assert converged == expect
             x3, g3, d3 = calls[2]
             x4, g4, d4 = calls[3]
@@ -785,7 +824,7 @@ class TestLbfgs:
             value = 0.125 if np.array_equal(x, x0) else 0.125 + 1.4e-16
             return value, grad
 
-        _, converged = _lbfgs(flat, x0, (), 300, 1e-14)
+        _, converged = lbfgs(flat, x0, (), 300, 1e-14)
         calls = len(points)
         ref = scipy_lbfgsb(flat, x0)
         assert not converged and not ref.success
@@ -807,36 +846,37 @@ class TestLbfgs:
             return 0.125 + 1.4e-17 * (digest[0] % 5 - 2), grad
 
         x0 = np.array([0.3, 0.2, -0.1])
-        x, converged = _lbfgs(noisy, x0, (), 300, 1e-14)
+        x, converged = lbfgs(noisy, x0, (), 300, 1e-14)
         ref = scipy_lbfgsb(noisy, x0)
         assert converged and ref.success
         assert not np.array_equal(x, x0)
 
     def test_cut_carries_its_point(self):
         # The cut check stops a descent at a trial point, and the restart
-        # leaves with that point: it places and measures the last point
-        # evaluated, the first whose value the check accepts.
-        problem = _BoundProblem(bell_states())
-        points, values = [], []
+        # leaves with that point: it places the last point the descent
+        # evaluated, the first whose value the check accepts, and measures
+        # it by one more request, with weight 0.
+        s = bell_states()
+        problem = _BoundProblem(s)
 
         def below(value):
             return value < 0.15
 
-        restart = _restart(problem, 0.4, below, FAST_OPTS, (0,), 0)
-        request = next(restart)
-        with pytest.raises(StopIteration) as done:
-            while True:
-                shapes, x, weight, target = request
-                points.append(np.array(x))
-                values.append(_objective(x, problem, shapes, weight, target))
-                request = restart.send(values[-1])
-        value, converged, stopped = done.value.value
+        requests, (value, converged, stopped) = drive(
+            problem, _restart(problem, 0.4, below, FAST_OPTS, (0,), 0))
+        values = [_objective(x, problem, shapes, weight, target)[0]
+                  for shapes, x, weight, target in requests]
         assert stopped and converged
-        assert values[-1][0] < 0.15
-        assert all(v >= 0.15 for v, _ in values[:-1])
+        assert values[-2] < 0.15
+        assert all(v >= 0.15 for v in values[:-2])
+        weights = [weight for _, _, weight, _ in requests]
+        assert weights[-1] == 0.0 and 0.0 not in weights[:-1]
+        assert value == math.sqrt(values[-1])
+        shapes = requests[-1][0]
         placed = _project_to_radius([f.conj().T @ f for f in
-                                     _unpack(points[-1], shapes)], 0.4)
-        assert value == pytest.approx(problem.delta(placed), rel=1e-12)
+                                     _unpack(requests[-2][1], shapes)], 0.4)
+        assert value == pytest.approx(
+            reference.ReferenceProblem(s).delta(placed), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_trial_never_an_iterate(self, bad):
@@ -848,9 +888,9 @@ class TestLbfgs:
             return (value if np.abs(x).max() < 2.0 else bad), grad
 
         x0 = np.array([-1.9, 1.9])
-        x, converged = _lbfgs(walled, x0, (), 300, 1e-14)
+        x, converged = lbfgs(walled, x0, (), 300, 1e-14)
         assert not converged and np.array_equal(x, x0)
-        x, _ = _lbfgs(walled, np.array([-1.2, 1.0]), (), 300, 1e-14)
+        x, _ = lbfgs(walled, np.array([-1.2, 1.0]), (), 300, 1e-14)
         assert math.isfinite(walled(x)[0])
 
     def test_objective_descent_matches_scipy(self):
@@ -866,10 +906,76 @@ class TestLbfgs:
         def fun(x):
             return _objective(x, *args)
 
-        x, converged = _lbfgs(_objective, x0, args, 300, 1e-14)
+        x, converged = lbfgs(_objective, x0, args, 300, 1e-14)
         ref = scipy_lbfgsb(fun, x0)
         assert converged == ref.success
         assert abs(fun(x)[0] - ref.fun) <= 1e-10
+
+
+class TestMeasurement:
+    """A restart's distance is the root of one more kernel request, with
+    weight 0, at its placed point; the module has no other evaluator."""
+
+    @staticmethod
+    def measured(problem, restart):
+        """The restart's distance and its placed factors, after checking
+        that the last request measured them."""
+        requests, (value, _, _) = drive(problem, restart)
+        shapes, x, weight, target = requests[-1]
+        assert weight == 0.0
+        assert value == math.sqrt(
+            _objective(x, problem, shapes, 0.0, target)[0])
+        return value, _unpack(x, shapes), requests[:-1]
+
+    @pytest.mark.parametrize("radius", [0.4, max_radius(4)],
+                             ids=["full", "rank-one"])
+    def test_root_of_weight_zero_value(self, radius):
+        s = bell_states()
+        problem = _BoundProblem(s)
+        value, factors, descent = self.measured(
+            problem, _restart(problem, radius, None, FAST_OPTS, (0,), 3))
+        q = ProductOperator(factors).matrix()
+        assert distance_from_identity(q) == pytest.approx(radius, abs=1e-9)
+        assert value == pytest.approx(zonotope_distance(q, s), rel=1e-10)
+        if radius == 0.4:
+            # Adjoints of Cholesky factors: upper triangular, with a
+            # positive real diagonal.
+            for f in factors:
+                assert not np.tril(f, -1).any()
+                assert (f.diagonal().real > 0).all()
+                assert not f.diagonal().imag.any()
+        else:
+            # The rank-one descent's own end point, a trial it evaluated,
+            # in the scale gauge.
+            shapes = [f.shape for f in factors]
+            assert any(np.array_equal(
+                _pack(factors), _pack(_rescale_factors(_unpack(x, shapes))))
+                for _, x, _, _ in descent)
+
+    def test_part_projected_next_to_t_max(self, monkeypatch, rng):
+        # Part 0 is diag(2, 0) in a random basis: singular at t_max = 1,
+        # with D R(t)^2 = t^2 on Bell, so this radius is met at
+        # t = 1 - 1.05e-9, next to the cap t_max (1 - 1e-9). The part is
+        # then barely positive definite, and its Cholesky factor must still
+        # place it for the kernel.
+        import nlwe.bound as bound
+
+        s = bell_states()
+        problem = _BoundProblem(s)
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2))
+                            + 1j * rng.normal(size=(2, 2)))
+        parts = _project_to_radius(
+            [u @ np.diag([2.0, 0.0]) @ u.conj().T, np.eye(2)],
+            0.5 * (1 - 1.05e-9))
+        assert 0 < np.linalg.eigvalsh(parts[0])[0] < 1.1e-9
+        monkeypatch.setattr(bound, "_project_to_radius",
+                            lambda psd, r: parts)
+        value, factors, _ = self.measured(
+            problem, _restart(problem, 0.4, None, FAST_OPTS, (0,), 0))
+        for f, a in zip(factors, parts):
+            assert np.abs(f.conj().T @ f - a).max() <= 1e-14
+        assert value == pytest.approx(
+            reference.ReferenceProblem(s).delta(parts), rel=1e-12)
 
 
 class TestMinDistanceAtRadius:
@@ -905,7 +1011,7 @@ class TestMemberBasis:
         for _ in range(5):
             q = random_product_operator(s.dims, rng)
             dense = zonotope_distance(q.matrix(), s)
-            assert abs(problem.delta(q.psd_factors()) - dense) <= 1e-12
+            assert abs(kernel_distance(problem, q.factors) - dense) <= 1e-12
 
     def test_bound_forms_no_dense_kron(self, monkeypatch):
         sets = [tiles(), bell_states()]

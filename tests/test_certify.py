@@ -466,6 +466,31 @@ class TestDyadSpanRank:
             assert (dyad_span_rank(s, party, pairs)
                     == full_stack_rank(s, party, pairs))
 
+    @pytest.mark.parametrize("pair_tol", [1e-9, 1e-8, 1e-7])
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+    def test_near_pair_tol_ranks_match_distinct_stack(self, pair_tol, scale):
+        # The sets of the test above, on seeds 0-5. Whether a prefix or
+        # the whole stack decides, the rank is that of one SVD of the
+        # distinct dyads with the cutoff 1e-8 ||S||_F.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            eps = scale * pair_tol
+            s = gentiles1(8)
+            entries = []
+            for m in range(s.n_states):
+                a, b = s.local_state(m, 0), s.local_state(m, 1)
+                nudge = rng.normal(size=8) + 1j * rng.normal(size=8)
+                entries.append((a + eps * nudge / np.linalg.norm(nudge), b))
+            s = StateSet(s.dims, entries, validate=False)
+            for party in range(s.parties):
+                pairs = exclusive_pairs(s, party, pair_tol)
+                v = s.local_matrix(party)
+                stack = np.unique(dyad(v[pairs[:, 0]], v[pairs[:, 1]])
+                                  .reshape(len(pairs), -1), axis=0)
+                svals = np.linalg.svd(stack, compute_uv=False)
+                ref = np.count_nonzero(svals > 1e-8 * np.linalg.norm(stack))
+                assert dyad_span_rank(s, party, pairs) == ref >= 63
+
     def test_repeated_pairs_do_not_change_rank(self):
         s = tiles()
         for party in (0, 1):

@@ -42,6 +42,28 @@ class TestStateSet:
         assert np.allclose(s.global_state(0), [1, 0])
         assert np.allclose(s.global_state(1), [0, 1])
 
+    def test_normalizing_twice_changes_nothing(self):
+        # A product set rebuilt from its own kets keeps them bit for bit.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            dims = tuple(int(d) for d in rng.integers(1, 33, size=2))
+            s = StateSet(dims, random_entries(rng, dims, 3), validate=False)
+            rebuilt = StateSet(dims, s.states, validate=False)
+            for party in range(s.parties):
+                assert np.array_equal(rebuilt.local_matrix(party),
+                                      s.local_matrix(party))
+
+    def test_member_kets_normalized_once(self):
+        # The per-member path, taken by a set with an entangled member.
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            entries = [(rng.normal(size=8) + 1j * rng.normal(size=8),)]
+            entries += random_entries(rng, (2, 2, 2), 3)
+            s = StateSet((2, 2, 2), entries, validate=False)
+            rebuilt = StateSet((2, 2, 2), s.states, validate=False)
+            for kets, again in zip(s.states, rebuilt.states):
+                assert all(map(np.array_equal, kets, again))
+
     def test_uniform_priors_default(self):
         s = two_qubit_demo()
         assert np.allclose(s.priors, 0.25)
@@ -337,6 +359,17 @@ class TestFileRoundTrip:
             assert len(loaded.states[m]) == len(s.states[m])
             for a, b in zip(loaded.states[m], s.states[m]):
                 assert np.allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        lambda: rotated_dominoes(0.3, 0.4, 0.5, 0.6), bell_states])
+    def test_bit_exact(self, build, tmp_path):
+        # Kets that are unit up to rounding come back with the same bits.
+        s = build()
+        path = tmp_path / "set.json"
+        save(s, path)
+        loaded = load(path)
+        for kets, again in zip(s.states, loaded.states):
+            assert all(map(np.array_equal, kets, again))
 
     def test_load_rejects_nonorthogonal(self, tmp_path):
         s = tiles()

@@ -182,6 +182,12 @@ class TestNumericalRank:
     def test_zero_inputs(self):
         assert numerical_rank([np.zeros((2, 2))]) == 0
 
+    def test_cutoff_against_frobenius_norm(self):
+        # Singular values 1, 1, 1, 1 and 1.5e-8: the last is above 1e-8 times
+        # the largest but not 1e-8 times the Frobenius norm, 2.
+        assert numerical_rank(np.diag([1.0, 1.0, 1.0, 1.0, 1.5e-8])) == 4
+        assert numerical_rank(np.diag([1.0, 1.0, 1.0, 1.0, 2.5e-8])) == 5
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_invariant_under_permutation_and_scaling(self, seed):
