@@ -14,16 +14,22 @@ at once, stacked and zero-padded to the largest local dimension. The inner
 minimization is nonconvex; it is attacked by multi-start local descent with
 a quadratic distance penalty, so the reported values are best-effort
 estimates (upper estimates of each inner minimum) rather than
-certificates. Descents are coroutines, and independent ones (the probes of
-a sweep, the restarts of its first radius to finish) run in lockstep
-rounds, one kernel call per round. Restarts stop early at radii that
-provably cannot hold the maximum, which leaves the bound unchanged. A
-descent also stops once its penalized distance falls below 1% (``CUT``) of
-the largest value its sweep has seen, checked at every evaluation. A
-pruned radius can report such a stopped value; every other radius reruns
-its stopped restarts to the end, so the bound is unchanged again. A
-stopped restart counts as converged. Diagnostics on restarts, convergence,
-pruned and failed radii accompany the result.
+certificates. Descents are coroutines, and independent ones run in
+lockstep rounds, one kernel call per round: the probes of a sweep, the
+restarts of its first radius to finish, and every later radius's restarts
+in batches of 1, 2, 4, ... Restarts stop early at radii that provably
+cannot hold the maximum. A descent also stops once its penalized distance
+falls below the largest value its sweep has seen, checked at every
+evaluation: its point is placed and measured, and its descent is held, so a
+radius that needs that restart settled resumes it where it stopped. Only a
+pruned radius can report a stopped value, and a radius closes its held
+descents once it is pruned or finished. A stopped restart counts as
+converged. Pruning never makes a radius the argmax, so within a batch of
+radii the maximum is that of running every restart everywhere, or lower
+where a stopped point prunes a radius whose full restarts all end above
+the floor: that point, at the radius, shows their value to overstate its
+minimum. Diagnostics on restarts, convergence, pruned and failed radii
+accompany the result.
 """
 
 from __future__ import annotations
@@ -39,11 +45,6 @@ from .families import StateSet, is_plain_int
 # Below this projected trace the scaled distance is defined as zero, which
 # can only lower the reported bound, never overstate it.
 TRACE_FLOOR = 1e-12
-
-# A descent stops once its scaled distance falls below this fraction of the
-# largest value its sweep has seen: only the largest inner minimum enters
-# the bound, and a radius that far below it is pruned.
-CUT = 1e-2
 
 
 def distance_from_identity(q) -> float:
@@ -115,12 +116,13 @@ class BoundResult:
     ``diagnostics["pruned"]`` is true, the radius stopped restarting once its
     running minimum fell below a finished radius's value. Its entry then
     comes from fewer restarts, and can be the value of a descent stopped
-    once it fell below 1% of the largest value seen at one of its
-    evaluations, which in a lockstep round can be a value another radius
-    reached in that round (see ``_sweep``). It is the distance of a point
-    at that radius, so still an upper estimate of the radius's minimum, and
-    strictly below ``diagnostics["max_delta"]``. Every distance is the root
-    of the descents' own kernel at weight 0, at the placed point.
+    once it fell below the largest value seen at one of its evaluations,
+    which in a lockstep round can be a value another radius reached in that
+    round (see ``_sweep``). It is the distance of a point at that radius, so
+    still an upper estimate of the radius's minimum, and strictly below
+    ``diagnostics["max_delta"]``. Every other entry is the best of all the
+    radius's restarts run to the end. Every distance is the root of the
+    descents' own kernel at weight 0, at the placed point.
     ``restarts_total`` counts the restarts actually run and
     ``projected_total`` those placed at their radius, so the difference
     counts unplaced restarts. ``converged_fraction`` is the share of every
@@ -588,10 +590,10 @@ def _descent(x, max_iters: int, tol: float):
 
 
 def _restart(problem: _BoundProblem, r_target: float, stop,
-             opts: OptimizerOptions, seed_key: tuple, k: int):
+             opts: OptimizerOptions, seed_key: tuple, k: int, live=None):
     """Restart ``k`` at one radius, a coroutine for ``_lockstep``: yields
     kernel requests (shapes, point, weight, rsq_target), receives (value,
-    gradient) for each, returns (scaled distance or None, converged, stopped).
+    gradient) for each, returns (scaled distance or None, converged, resume).
 
     The end point is placed on the radius (the projected parts' Cholesky
     factors; rank-one factors stay) and measured by one last request with
@@ -601,71 +603,79 @@ def _restart(problem: _BoundProblem, r_target: float, stop,
     no cut: it is asked at every descent evaluation, and the descent stops
     at its first point whose penalized objective it accepts. That point is
     then placed and measured like a final one, and the restart reports
-    converged and stopped. A stopped point the projection refuses is rerun
-    without a cut, so a stopped result always has a value. Each (seed key,
-    restart) pair has its own seed stream, so a restart returns the same
-    value whatever else runs before or beside it.
+    converged, with ``resume`` set; else ``resume`` is None. ``resume`` is
+    this coroutine again, with no cut and with ``live``, the live descent:
+    its ``_descent`` coroutine, stage, weight and converged flag, and the
+    reply to the stopped trial. It continues the descent where it stopped,
+    so it returns exactly what the uncut restart returns; closing it frees
+    the descent. A stopped point the projection refuses is resumed at once,
+    so a stopped result always has a value. Each (seed key, restart) pair
+    has its own seed stream, so a restart returns the same value whatever
+    else runs before or beside it.
     """
     if r_target < 1e-14:
         # Only multiples of the identity sit at radius zero.
-        return 0.0, True, False
+        return 0.0, True, None
     rank_one = abs(r_target - max_radius(problem.total)) < 1e-12
     shapes = tuple((1, d) if rank_one else (d, d) for d in problem.dims)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=opts.seed, spawn_key=(*seed_key, k))
-    )
-    if opts.restarts > 1:
-        sigma = opts.sigma_min + (opts.sigma_max - opts.sigma_min) * (
-            k / (opts.restarts - 1)
+    # Rank-1 product operators all sit exactly at the maximal radius, so one
+    # unpenalized descent needs no projection.
+    stages = 1 if rank_one else opts.penalty_stages
+    if live is None:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=opts.seed, spawn_key=(*seed_key, k))
         )
-    else:
-        sigma = opts.sigma_min
-    factors = []
-    for shape in shapes:
-        noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        if rank_one:
-            factors.append(noise)
+        if opts.restarts > 1:
+            sigma = opts.sigma_min + (opts.sigma_max - opts.sigma_min) * (
+                k / (opts.restarts - 1)
+            )
         else:
-            factors.append(np.eye(shape[0]) + sigma * noise)
-    x = _pack(_rescale_factors(factors))
-    if rank_one:
-        # Rank-1 product operators all sit exactly at the maximal radius, so
-        # one unpenalized descent needs no projection.
-        stages, weight = 1, 0.0
-    else:
-        stages, weight = opts.penalty_stages, opts.penalty_base
-    converged, stopped = True, False
+            sigma = opts.sigma_min
+        factors = []
+        for shape in shapes:
+            noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            if rank_one:
+                factors.append(noise)
+            else:
+                factors.append(np.eye(shape[0]) + sigma * noise)
+        x = _pack(_rescale_factors(factors))
+        live = (_descent(x, opts.max_iters, opts.tol), 0,
+                0.0 if rank_one else opts.penalty_base, True, None)
+    # The descent has yet to receive ``reply``, None when it has not started.
+    descent, stage, weight, converged, reply = live
     rsq_target = r_target * r_target
-    for _ in range(stages):
-        descent = _descent(x, opts.max_iters, opts.tol)
-        trial = next(descent)
-        while True:
-            value, grad = yield shapes, trial, weight, rsq_target
-            if stop is not None and stop(value):
-                x, converged, stopped = trial, True, True
+    resume = None
+    while True:
+        try:
+            trial = descent.send(reply)
+        except StopIteration as done:
+            x, ok = done.value
+            x = _pack(_rescale_factors(_unpack(x, shapes)))
+            converged = converged and ok
+            stage += 1
+            if stage == stages:
                 break
-            try:
-                trial = descent.send((value, grad))
-            except StopIteration as done:
-                x, ok = done.value
-                converged = converged and ok
-                break
-        x = _pack(_rescale_factors(_unpack(x, shapes)))
-        if stopped:
+            descent = _descent(x, opts.max_iters, opts.tol)
+            weight, reply = 10.0 * weight, None
+            continue
+        reply = yield shapes, trial, weight, rsq_target
+        if stop is not None and stop(reply[0]):
+            resume = _restart(problem, r_target, None, opts, seed_key, k,
+                              (descent, stage, weight, converged, reply))
+            x = _pack(_rescale_factors(_unpack(trial, shapes)))
+            converged = True
             break
-        weight *= 10.0
     if not rank_one:
         psd = _project_to_radius([f.conj().T @ f for f in _unpack(x, shapes)],
                                  r_target)
-        if psd is None and stopped:
-            return (yield from _restart(problem, r_target, None, opts,
-                                        seed_key, k))
+        if psd is None and resume is not None:
+            return (yield from resume)
         if psd is None:
-            return None, converged, stopped
+            return None, converged, None
         # Each part is positive definite (t stops short of t_max): A = L^dag L.
         x = _pack([np.linalg.cholesky(a).conj().T for a in psd])
     value, _ = yield shapes, x, 0.0, rsq_target
-    return math.sqrt(value), converged, stopped
+    return math.sqrt(value), converged, resume
 
 
 def _lockstep(problem: _BoundProblem, coroutines) -> list:
@@ -673,6 +683,7 @@ def _lockstep(problem: _BoundProblem, coroutines) -> list:
     results, in order. Each round evaluates every pending point with one
     ``_objective`` call per shapes group (full or rank-one), then sends the
     results back in turn, so a coroutine sees what those before it changed.
+    A coroutine that another one closed has the result None.
     """
     results = [None] * len(coroutines)
     pending = [(i, None) for i in range(len(coroutines))]
@@ -699,7 +710,7 @@ def _lockstep(problem: _BoundProblem, coroutines) -> list:
 @dataclass
 class _RadiusRun:
     """The restarts run at one radius: ``results[k]`` is what ``_restart``
-    returned for restart k, replaced when a stopped restart is rerun."""
+    returned for restart k, replaced when a stopped restart is resumed."""
 
     radius: float
     key: tuple
@@ -709,6 +720,11 @@ class _RadiusRun:
     @property
     def restarts(self) -> int:
         return len(self.results)
+
+    @property
+    def held(self) -> list[int]:
+        """The stopped restarts, whose descents are suspended."""
+        return [k for k, (_, _, resume) in self.results.items() if resume]
 
     @property
     def projected(self) -> int:
@@ -733,9 +749,22 @@ class _RadiusRun:
         # trivial value 0, which can only lower the bound.
         return 0.0 if self.failed else self.best
 
+    def drop(self, k: int):
+        """Forget restart k, closing its descent if it is suspended."""
+        _, _, resume = self.results.pop(k, (None, None, None))
+        if resume is not None:
+            resume.close()
+
+    def release(self):
+        """Close the suspended descents; their stopped values stay."""
+        for k in self.held:
+            value, converged, resume = self.results[k]
+            resume.close()
+            self.results[k] = value, converged, None
+
 
 def _sweep(problem: _BoundProblem, batch, opts: OptimizerOptions,
-           floor: float = -math.inf, cut: float = 0.0):
+           floor: float = -math.inf, cut: bool = False):
     """Best-first restarts over a batch of (radius, seed key) pairs.
 
     Every radius is probed with restart 0, all probes together in lockstep
@@ -744,55 +773,75 @@ def _sweep(problem: _BoundProblem, batch, opts: OptimizerOptions,
     strictly below ``floor``, the largest final value among radii that ran
     all their restarts: its own minimum is then below the maximum, so it
     cannot be the argmax. While ``floor`` is -inf nothing can prune the
-    first radius to finish, so its other restarts run together too, with
-    no cut. Every later restart runs alone, so pruning keeps its order.
+    first radius to finish, so its other restarts run together, with no
+    cut. A later radius runs its other restarts in lockstep batches of 1,
+    2, 4, ... restarts, and keeps the pruning order of one restart at a
+    time: once restart k prunes, every restart past k is closed and
+    discarded, whether it ran or not.
 
-    The cut is checked at every evaluation against the sweep's running
-    maximum at that moment, the largest of ``floor`` and the restart values
-    seen so far, so a probe can be stopped by a value another probe reached
-    in the same round. A descent stops at its first point whose penalized
-    objective is below the square of ``cut`` times that maximum, when it is
-    positive; with a small ``cut``, the radius is then far below the
-    maximum. A stopped value is kept only while it can still prune its
-    radius: a radius reruns its stopped restarts without a cut before its
-    next restart and before it finishes. A finished radius is thus exact,
-    and only a pruned radius can report a stopped value. Returns the runs
-    in batch order and the updated floor.
+    With ``cut`` on, a descent stops at its first point whose penalized
+    objective is below the square of the sweep's running maximum at that
+    evaluation, the largest of ``floor`` and the restart values seen so far
+    (a probe can be stopped by a value another probe reached in the same
+    round). The stopped point is placed and measured, and its descent is
+    held (``_restart``). A stopped value is kept only while it can still
+    prune its radius: a held restart whose value cannot prune resumes in
+    its batch, a held probe in its radius's first batch, and a radius that
+    ran all its restarts resumes its held one before it finishes. Resuming
+    continues the descent where it stopped, so a finished radius is exact,
+    and only a pruned radius can report a stopped value. Once a radius is
+    pruned or finished, its held descents are closed. Returns the runs in
+    batch order and the updated floor.
     """
     runs = [_RadiusRun(float(r), key) for r, key in batch]
     high = floor
 
-    def stop(value):
-        level = cut * high
-        return high > 0 and value < level * level
+    def below_high(value):
+        return high > 0 and value < high * high
 
-    def restart(run, k, check):
+    stop = below_high if cut else None
+
+    def settle(run, k, check, low, live):
+        # Restart k, or its held descent, resumed while it is stopped at a
+        # value not below ``low``; a value below ``low`` prunes at k.
         nonlocal high
-        run.results[k] = result = yield from _restart(
-            problem, run.radius, check, opts, run.key, k)
-        if result[0] is not None:
-            high = max(high, result[0])
+        result = yield from (run.results[k][2] if k in run.results else
+                             _restart(problem, run.radius, check, opts,
+                                      run.key, k))
+        while True:
+            value, _, resume = result
+            if value is not None:
+                high = max(high, value)
+            if resume is None or value < low:
+                break
+            result = yield from resume
+        run.results[k] = result
+        if value is not None and value < low:
+            for j in [j for j in live if j > k]:
+                live.pop(j).close()
+                run.drop(j)
 
-    def step(run):
-        # Rerun the stopped restarts without a cut, else start the next one.
-        todo = [(k, None) for k, (_, _, stopped) in run.results.items()
-                if stopped]
-        if not todo and run.restarts < opts.restarts:
-            todo = [(run.restarts, stop)]
-        _lockstep(problem, [restart(run, k, check) for k, check in todo])
+    def together(run, ks, check, low):
+        live = {}
+        for k in ks:
+            live[k] = settle(run, k, check, low, live)
+        _lockstep(problem, list(live.values()))
 
-    _lockstep(problem, [restart(run, 0, stop) for run in runs])
+    # A probe's value never prunes here: each probe is the only restart of
+    # its radius so far, and its descent stays held.
+    _lockstep(problem, [settle(run, 0, stop, math.inf, {}) for run in runs])
     for run in sorted(runs, key=lambda run: run.best, reverse=True):
-        if floor == -math.inf:
-            _lockstep(problem, [restart(run, k, None)
-                                for k in range(opts.restarts)
-                                if k not in run.results or run.results[k][2]])
-        while run.restarts < opts.restarts and run.best >= floor:
-            step(run)
+        first = floor == -math.inf
+        size = opts.restarts if first else 1
+        while run.best >= floor and run.restarts < opts.restarts:
+            fresh = range(run.restarts, min(run.restarts + size, opts.restarts))
+            together(run, [*run.held, *fresh], None if first else stop, floor)
+            size *= 2
         run.pruned = run.restarts < opts.restarts
         if not run.pruned:
-            step(run)
+            together(run, run.held, None, -math.inf)
             floor = max(floor, run.value)
+        run.release()
     return runs, floor
 
 
@@ -828,13 +877,17 @@ def error_lower_bound(s: StateSet,
     Each batch of radii (the initial grid, then the fresh radii of one
     refinement level) runs best-first, and a radius stops restarting once
     its running minimum falls strictly below the largest final value of a
-    radius that ran all its restarts (see ``_sweep``). A pruned radius can
-    never be the argmax, so ``p_err_lower``, the argmax and the refinement
-    radii are those of a sweep that runs every restart everywhere; only the
-    pruned radii's ``delta_r`` differ, being upper estimates that still lie
-    below ``max_delta``. Descents stop once they fall below ``CUT`` times
-    the largest value seen; a pruned radius can report such a stopped value,
-    and every other radius reruns those restarts in full.
+    radius that ran all its restarts (see ``_sweep``). Descents stop once
+    they fall below the largest value seen, and a radius that needs such a
+    restart settled resumes it; only a pruned radius can report a stopped
+    value. A pruned radius is never the argmax, and every radius that is
+    not pruned reports the best of all its restarts run to the end. So a
+    batch's maximum is that of a sweep that runs every restart everywhere,
+    except where a stopped point prunes a radius that such a sweep would
+    finish: the point then shows that sweep's value there to overstate the
+    radius's minimum, and the maximum can only come out lower. The pruned
+    radii's ``delta_r`` are upper estimates that still lie below
+    ``max_delta``.
     """
     opts = opts or OptimizerOptions()
     problem = _BoundProblem(s)
@@ -845,7 +898,7 @@ def error_lower_bound(s: StateSet,
 
     def run_batch(batch):
         nonlocal floor
-        done, floor = _sweep(problem, batch, opts, floor, CUT)
+        done, floor = _sweep(problem, batch, opts, floor, cut=True)
         for run in done:  # batch order keeps max() tie-breaking stable
             runs[run.radius] = run
 
