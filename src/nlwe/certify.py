@@ -244,13 +244,9 @@ class ExtendibilityResult:
     witness_ranks: tuple[int, ...] | None
 
 
-# Complex entries per stacked array (32 MB): member masks in the partition
-# search and d-subset masks in the minimality check are computed in blocks
-# of at most this size.
-_STACK_ENTRIES = 1 << 21
-# Complex entries per stacked array of the flat search and of the closure
-# growth (512 KB). Past about this size the block's temporaries were
-# measured to cost several times more per entry.
+# Entries per stacked array of every UPB block (512 KB if complex). Past
+# about this size the flat and closure blocks' temporaries were measured to
+# cost several times more per entry.
 _FLAT_ENTRIES = 1 << 15
 
 
@@ -303,9 +299,9 @@ def _hyperplanes(kets: np.ndarray, tick) -> np.ndarray:
     and grows depth-first in blocks: a block's children are formed in
     chunks, each stacked array holding at most ``_FLAT_ENTRIES`` complex
     entries, and each chunk is one block of the next rank, grown before the
-    next chunk is formed. ``tick(m)`` is told of a block's m growths before
-    any of them is computed, and raises when they would pass the budget, so
-    no growth past it is computed.
+    next chunk is formed. ``tick(m)`` is told of a chunk's m growths just
+    before they are computed, and raises when they would pass the budget,
+    so the search stops within one chunk of it.
     """
     k, d = kets.shape
     step = max(1, _FLAT_ENTRIES // (k * d))
@@ -314,10 +310,10 @@ def _hyperplanes(kets: np.ndarray, tick) -> np.ndarray:
 
     def grow(block, rank):
         nodes, js = (~block[1] & (np.arange(k) > block[3][:, None])).nonzero()
-        tick(len(js))
         for start in range(0, len(js), step):
-            children = _children(block, nodes[start:start + step],
-                                 js[start:start + step], rank + 2 == d)
+            chunk = slice(start, start + step)
+            tick(len(js[chunk]))
+            children = _children(block, nodes[chunk], js[chunk], rank + 2 == d)
             if rank + 2 == d:
                 flats.append(children)
             else:
@@ -392,18 +388,19 @@ def upb_extendibility(s: StateSet,
     Flat growths and partition nodes are counted against ``budget`` one
     block at a time, before the block is computed (see :func:`_hyperplanes`);
     the search raises ``EnumerationBudgetExceeded`` instead of computing a
-    block that would pass it, naming the nodes visited and the block's size.
-    Shortness and witness ranks follow the flats' rule, :func:`_closure_ranks`.
-    ``budget`` must be a positive int.
+    block that would pass it, naming the nodes visited and the block's size,
+    so it stops within one block of its budget. Shortness and witness ranks
+    follow the flats' rule, :func:`_closure_ranks`. ``budget`` must be a
+    positive int.
     """
     if not is_plain_int(budget) or budget < 1:
         raise ValueError(f"budget must be a positive int, got {budget!r}")
     _require_product(s, "extendibility")
     parties, n = s.parties, s.n_states
     local = [s.local_matrix(alpha) for alpha in range(parties)]
-    # Party -1 is a root that keeps nothing, so party 0 is checked like the
-    # others; the flats of a real party are generated when first needed.
-    flats = {-1: np.zeros((1, n), dtype=bool)}
+    # Party alpha's flats over its distinct kets and each member's ket id.
+    # Root party -1 keeps nothing, so party 0 is checked like the others.
+    flats = {-1: (np.zeros((1, 1), dtype=bool), np.zeros(n, dtype=int))}
     visited = 0
 
     def tick(nodes):
@@ -419,11 +416,13 @@ def upb_extendibility(s: StateSet,
         # Party alpha's kets over ``members`` span its space.
         if alpha not in flats:
             kets, ket_id = _distinct_kets(local[alpha])
-            flats[alpha] = _hyperplanes(kets, tick)[:, ket_id]
+            flats[alpha] = _hyperplanes(kets, tick), ket_id
+        held, ket_id = flats[alpha]
         nothing = [np.zeros(n, dtype=bool)] * (parties - alpha - 2)
-        step = max(1, _STACK_ENTRIES // (n * s.dims[alpha + 1]))
-        for start in range(0, len(flats[alpha]), step):
-            block = flats[alpha][start:start + step]
+        # A block's largest arrays: its (B, N) masks and (B, d^2) Grams.
+        step = max(1, _FLAT_ENTRIES // max(n, s.dims[alpha + 1] ** 2))
+        for start in range(0, len(held), step):
+            block = held[start:start + step][:, ket_id]
             take, rest = block & members, ~block & members
             tick(len(rest))
             done = _closure_ranks(local[alpha + 1], rest) < s.dims[alpha + 1]
@@ -476,7 +475,7 @@ def minimal_upb_check(s: StateSet) -> bool:
                 return False
             continue
         subsets = itertools.combinations(range(n), d)
-        step = max(1, _STACK_ENTRIES // (n * d))
+        step = max(1, _FLAT_ENTRIES // (n * d))
         while block := list(itertools.islice(subsets, step)):
             masks = (np.array(block)[..., None] == np.arange(n)).any(axis=1)
             if (_closure_ranks(v, masks) < d).any():

@@ -1,11 +1,13 @@
 """References for the UPB decisions of ``nlwe.certify``.
 
 ``nlwe.certify._hyperplanes`` grows its whole search in stacked blocks of
-nodes. :func:`hyperplanes` grows one node at a time and tells ``tick`` of
-each node's growths before computing them, so tests can check the blocked
-search's masks, their order, its tick total and where a budget stops it
-against it. :func:`closure_rank` is the closure rule for one member mask,
-one row at a time, and :func:`subset_minimal` the minimality test by one
+nodes. :func:`hyperplanes` grows one node at a time, in steps of its own
+``_STEP_ENTRIES`` complex entries, far larger than the blocked search's
+chunks, and tells ``tick`` of each step's growths before computing them,
+so tests can check the blocked search's masks, their order, its tick
+total and where a budget stops it against it. :func:`closure_rank` is
+the closure rule for one member mask, one row at a time, and
+:func:`subset_minimal` the minimality test by one
 singular-value decomposition per d-subset of each party's kets.
 """
 
@@ -13,8 +15,11 @@ import itertools
 
 import numpy as np
 
-from nlwe.certify import _STACK_ENTRIES, minimal_upb_count
+from nlwe.certify import minimal_upb_count
 from nlwe.linalg import DEFAULT_RANK_TOL
+
+# Complex entries per stacked array of one node's growths (32 MB).
+_STEP_ENTRIES = 1 << 21
 
 
 def hyperplanes(kets: np.ndarray, tick) -> np.ndarray:
@@ -26,10 +31,10 @@ def hyperplanes(kets: np.ndarray, tick) -> np.ndarray:
     dropped when the new closure takes in a row below j. Flats therefore
     come in lexicographic order of their rows. A row lies in the closure
     when its residual is at most ``DEFAULT_RANK_TOL``. ``tick(m)`` is told
-    of each block of m growths before their closures are computed.
+    of each step of m growths before their closures are computed.
     """
     k, d = kets.shape
-    step = max(1, _STACK_ENTRIES // (k * d))
+    step = max(1, _STEP_ENTRIES // (k * d))
     # With d = 1 the one flat of rank 0 is the closure of nothing.
     flats = [np.zeros((1 if d == 1 else 0, k), dtype=bool)]
 

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,9 +195,10 @@ def budget_outcome(s, budget):
 
 def check_budget(monkeypatch, s, budget):
     """The outcome at ``budget``, after checking it against the per-flat
-    reference search and checking that the flat growths ``_children``
-    computes inside ``_hyperplanes`` stay within the budget."""
-    grown, inside = [], []
+    reference search, checking that the flat growths ``_children``
+    computes inside ``_hyperplanes`` stay within the budget, and checking
+    that a refusal names at most one block."""
+    grown, inside, refused = [], [], []
 
     def counted(block, nodes, js, leaf):
         if inside:
@@ -207,6 +209,9 @@ def check_budget(monkeypatch, s, budget):
         inside.append(True)
         try:
             return _hyperplanes(kets, tick)
+        except EnumerationBudgetExceeded:
+            refused.append(kets.shape)
+            raise
         finally:
             inside.pop()
 
@@ -224,6 +229,15 @@ def check_budget(monkeypatch, s, budget):
             rf"UPB search visited (\d+) nodes and stopped before a block of "
             rf"(\d+) would pass its budget of {budget}", outcome).groups())
         assert sum(grown) <= visited <= budget < visited + block
+        # The flat search refuses one chunk of growths over its (K, d) kets,
+        # the partition search one block of member masks and Grams against
+        # a party before the last.
+        entries = certify_module._FLAT_ENTRIES
+        if refused:
+            limit = entries // math.prod(refused[0])
+        else:
+            limit = max(entries // max(s.n_states, d * d) for d in s.dims[:-1])
+        assert block <= max(1, limit)
     else:
         assert outcome == reference
     return outcome
@@ -656,6 +670,35 @@ class TestFlatReference:
                     assert isinstance(check_budget(m, s, budget), str)
 
 
+class TestBlockSize:
+    """One block constant sizes every stacked UPB array: the flat search,
+    the closure growth, the partition search and the d-subset masks."""
+
+    @pytest.mark.parametrize("entries", [1, 200])
+    def test_reports_match_default(self, monkeypatch, entries):
+        sets = [tiles(), gentiles1(4), halder_states("full"),
+                halder_states("reduced12"), general_position_upb(5, 0),
+                shifts_upb()]
+        expected = [upb_report(s) for s in sets]
+        # reduced12 is extendible, so its witness and ranks are compared.
+        assert expected[3].witness_partition is not None
+        assert expected[3].local_ranks is not None
+        monkeypatch.setattr(certify_module, "_FLAT_ENTRIES", entries)
+        assert [upb_report(s) for s in sets] == expected
+
+    def test_minimality_check_memory(self):
+        # C(17, 9) = 24,310 d-subsets on each party, decided a block at a
+        # time; numpy's allocations are traced.
+        s = general_position_upb(9, 0)
+        tracemalloc.start()
+        try:
+            assert minimal_upb_check(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+
 class TestShort:
     """Which masks are short: the Gram prefilter and the stacked growth
     give the per-mask closure rank of ``flat_reference.closure_rank``."""
@@ -748,8 +791,8 @@ class TestExtendibility:
 
     def test_budget_counts_nodes_visited(self):
         with pytest.raises(EnumerationBudgetExceeded,
-                           match=r"visited 191 nodes and stopped before a "
-                                 r"block of 969 would pass its budget of 1000"):
+                           match=r"visited 765 nodes and stopped before a "
+                                 r"block of 287 would pass its budget of 1000"):
             upb_extendibility(gentiles1(6), budget=1000)
 
     @pytest.mark.parametrize("budget", [0, -1, 2.5, True, float("nan")])
