@@ -114,16 +114,19 @@ def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
     so one dyad per distinct (ket, ket) is ranked; tile constructions reuse
     each local ket across many members.
 
-    The rank is #{sigma_k(S) > tol F} for the stack S of distinct dyads,
-    tol = ``DEFAULT_RANK_TOL`` and F = ||S||_F, whichever path decides it.
-    Prefixes P of d^2 + d, 2 (d^2 + d), ... rows, in a fixed pseudo-random
-    order and at most a quarter of the stack, are ranked until one settles
-    S, which is ranked itself (``numerical_rank``) only when none does;
-    prefixes that settle nothing add under half of S's rows.
-    sigma_k(S) >= sigma_k(P) gives rank >= #{sigma_k(P) > tol F};
+    The distinct dyads form one stack S in a fixed pseudo-random order, and
+    the rank is #{sigma_k(S) > tol F}, tol = ``DEFAULT_RANK_TOL`` and
+    F = ||S||_F. One loop ranks prefixes P of d^2 + d, 2 (d^2 + d), ...
+    rows while P is at most a quarter of S, and stops at the first that
+    settles S. sigma_k(S) >= sigma_k(P) gives rank >= #{sigma_k(P) > tol F};
     sigma_{d^2}(S) <= tau, the norm of S's identity component, gives
     rank <= d^2 - 1 when tau <= tol sigma_1(P) <= tol F. P settles S when
-    the two bounds meet.
+    the two bounds meet. If none does, the last step ranks the whole of S
+    (``numerical_rank``, the same cutoff); prefixes that settle nothing add
+    under half of S's rows. The first prefix has d rows to spare over the
+    d^2 - 1 a saturated party must show: with one row to spare, scrambled
+    GenTiles1 prefixes were often exactly rank-deficient and cost a second,
+    twice larger SVD.
     """
     _require_product(s, "dyad ranking")
     if not 0 <= party < s.parties:
@@ -135,27 +138,10 @@ def dyad_span_rank(s: StateSet, party: int, pairs) -> int:
         i, j = idx[np.argmax(bad)]
         raise ValueError(f"invalid index pair ({i}, {j})")
     kets, ket_id = _distinct_kets(s.local_matrix(party))
-    k = len(kets)
-    ids = np.unique(ket_id[idx[:, 0]] * k + ket_id[idx[:, 1]])
-    rank = _prefix_rank(kets, ids)
-    if rank is None:
-        rank = numerical_rank(dyad(kets[ids // k], kets[ids % k]))
-    return rank
-
-
-def _prefix_rank(kets: np.ndarray, ids: np.ndarray) -> int | None:
-    """Rank of the dyad stack of ``ids`` if a prefix settles it, else None.
-
-    Row r of the stack is the dyad of kets ``ids[r] // K`` and
-    ``ids[r] % K``, for K = ``len(kets)``; see :func:`dyad_span_rank`.
-    The first prefix has d rows to spare over the d^2 - 1 a saturated party
-    must show: with one row to spare, scrambled GenTiles1 prefixes were
-    often exactly rank-deficient and cost a second, twice larger SVD.
-    """
     k, d = kets.shape
-    rows = d * d + d
-    if 4 * rows > len(ids):
-        return None
+    # The distinct pair ids in increasing order, from one sort.
+    ids = np.sort(ket_id[idx[:, 0]] * k + ket_id[idx[:, 1]])
+    ids = ids[np.diff(ids, prepend=-1) != 0]
     # ||S||_F and tau from the kets alone: ||a><b||_F = ||a|| ||b|| and
     # <I/sqrt(d), |a><b|> = <b|a>/sqrt(d).
     norms = np.linalg.norm(kets, axis=1)
@@ -163,6 +149,7 @@ def _prefix_rank(kets: np.ndarray, ids: np.ndarray) -> int | None:
     mixed = np.random.default_rng(0).permutation(ids)
     left, right = kets[mixed // k], kets[mixed % k]
     tau = np.linalg.norm((left * right.conj()).sum(axis=1)) / math.sqrt(d)
+    rows = d * d + d
     while 4 * rows <= len(ids):
         svals = np.linalg.svd(dyad(left[:rows], right[:rows]).reshape(rows, -1),
                               compute_uv=False)
@@ -171,7 +158,7 @@ def _prefix_rank(kets: np.ndarray, ids: np.ndarray) -> int | None:
         if lower == upper:
             return int(lower)
         rows *= 2
-    return None
+    return numerical_rank(dyad(left, right))
 
 
 def certify(s: StateSet, tol: float = DEFAULT_PAIR_TOL) -> DyadCertificate:

@@ -50,6 +50,7 @@ from conftest import (
     permute_states,
     shifts_upb,
 )
+import exact_reference
 from flat_reference import closure_rank, subset_minimal
 from flat_reference import hyperplanes as reference_hyperplanes
 
@@ -598,6 +599,65 @@ class TestCuts:
     def test_strong_nlwe_needs_three_parties(self):
         with pytest.raises(ValueError):
             strong_nlwe(tiles())
+
+
+def integer_family_sets():
+    """The sets whose local kets are unit multiples of integer vectors."""
+    halder = halder_states("full")
+    sets = {"tiles": tiles(), "halder-full": halder,
+            "rotated-dominoes": rotated_dominoes(*(math.pi / 4,) * 4),
+            "two-qubit-demo": two_qubit_demo(), "gentiles1-4": gentiles1(4)}
+    for cut in PartyCut.bipartitions(halder.parties):
+        name = "|".join(",".join(map(str, b)) for b in cut.blocks)
+        sets[f"halder-full-{name}"] = merge_cut(halder, cut)
+    return sets
+
+
+class TestExactReference:
+    """The certifier against exact integer arithmetic (exact_reference.py).
+
+    A party whose rank mod p is d^2 - 1 is proved to saturate: the exact
+    pairs make its dyads exactly traceless, so the rank over Q is at most
+    d^2 - 1, and it is at least the rank mod p.
+    """
+
+    @pytest.mark.parametrize("name", list(integer_family_sets()))
+    def test_pairs_and_ranks_are_exact(self, name):
+        s = integer_family_sets()[name]
+        cert = certify(s)
+        for record in cert.records:
+            pairs = exact_reference.exact_pairs(s, record.party)
+            assert np.array_equal(record.pairs, pairs)
+            rank = exact_reference.dyad_rank_mod_p(s, record.party, pairs)
+            assert rank == record.span_rank
+        # two_qubit_demo's party 0 ranks 2 of 3: a rank mod p below d^2 - 1
+        # only bounds the exact rank from below, so there the agreement is
+        # evidence, not a proof.
+        assert ((cert.verdict == CERTIFIED_INDISCRIMINABLE)
+                == (name != "two-qubit-demo"))
+
+    def test_tiles_subsets_independent(self):
+        s = tiles()
+        for party in range(s.parties):
+            w = exact_reference.integer_kets(s.local_matrix(party))
+            for subset in itertools.combinations(range(len(w)), 3):
+                assert exact_reference.integer_det(w[list(subset)]) != 0
+        assert minimal_upb_check(s)
+
+    def test_non_integer_kets_refused(self):
+        with pytest.raises(ValueError, match="not real"):
+            exact_reference.integer_kets(gentiles1(6).local_matrix(0))
+        with pytest.raises(ValueError, match="integers"):
+            exact_reference.integer_kets(
+                rotated_dominoes(0.3, 0.3, 0.3, 0.3).local_matrix(0))
+
+    def test_rank_mod_p_and_det(self):
+        assert exact_reference.rank_mod_p([[1, 2], [2, 4]]) == 1
+        assert exact_reference.rank_mod_p([[0, 0], [0, 3]]) == 1
+        assert exact_reference.rank_mod_p([[exact_reference.PRIME, 0]]) == 0
+        assert exact_reference.integer_det([[0, 1], [1, 0]]) == -1
+        assert exact_reference.integer_det([[2, 1, 0], [1, 2, 1],
+                                            [0, 1, 2]]) == 4
 
 
 class TestHyperplanes:
