@@ -35,7 +35,6 @@ accompany the result.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -95,6 +94,11 @@ class OptimizerOptions:
             elif value < low:
                 problems.append(f"{name} must be "
                                 + ("nonnegative" if low == 0 else "at least 1"))
+        problems += [f"{name} must be a float, got {value!r}"
+                     for name in ("tol", "penalty_base", "sigma_min",
+                                  "sigma_max")
+                     if isinstance(value := getattr(self, name),
+                                   (bool, np.bool_))]
         checks = (
             (0 < self.tol < math.inf, "tol must be finite and positive"),
             (0 < self.penalty_base < math.inf,
@@ -190,10 +194,6 @@ class _BoundProblem:
         self.others = (np.arange(s.parties)[:, None]
                        + np.arange(1, s.parties)) % s.parties
 
-    def members(self, h):
-        """``Pi Q Pi`` in the member basis from the atoms' matrix H."""
-        return h if self.coeff is None else self.coeff[0] @ h @ self.coeff[1]
-
 
 def _pack(factors) -> np.ndarray:
     """The complex factors, concatenated, as floats (re/im interleaved)."""
@@ -210,21 +210,22 @@ def _unpack(x: np.ndarray, shapes) -> list[np.ndarray]:
 def _objective(x, problem: _BoundProblem, shapes, weight, rsq_target):
     """Penalized squared distances and their gradients for a stack of points.
 
-    x is (B, n), with ``weight`` and ``rsq_target`` per row or shared; a
-    single point (n,) gives a value and an (n,) gradient. One pass over the
-    padded factor stacks L, with no loop over points or parties: |m|^2 / t^2,
+    x is (B, n), with ``weight`` and ``rsq_target`` per row or shared; the
+    values are (B,) and the gradients (B, n). One pass over the padded
+    factor stacks L, with no loop over points or parties: |m|^2 / t^2,
     m the off-diagonal part of ``Pi Q Pi`` and t its trace (0 below
     TRACE_FLOOR), plus weight * (R^2 - rsq_target)^2, R^2 = prod |A_a|^2 /
     prod Tr(A_a)^2 - 1/D. Gradients G satisfy df = Re sum(conj(G) * dX).
     """
-    x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, x.shape[-1])
     shape, slots = problem.slots[tuple(shapes)]
-    f = np.zeros((len(rows),) + shape, complex)
-    f.view(float).reshape(len(rows), -1)[:, slots] = rows
+    f = np.zeros((len(x),) + shape, complex)
+    f.view(float).reshape(len(x), -1)[:, slots] = x
     y = f @ problem.ket  # Y_a = L_a X_a^T, so local_a = Y_a^dag Y_a
     local = y.conj().swapaxes(2, 3) @ y
-    p = problem.members(local.prod(axis=1))
+    # Pi Q Pi in the member basis: the atoms' matrix H, or conj(C) H C^T.
+    p = local.prod(axis=1)
+    if problem.coeff is not None:
+        p = problem.coeff[0] @ p @ problem.coeff[1]
     # Per-row scalars are kept as (B, 1, 1). An infinite trace makes a row
     # below the floor read 0, with no gradient.
     t = p.trace(axis1=1, axis2=2).real[:, None, None]
@@ -258,8 +259,7 @@ def _objective(x, problem: _BoundProblem, shapes, weight, rsq_target):
         value = value + wgap * gap
         grad += (8.0 * wgap * ratio)[:, None] * (bf / norms - f / traces)
     grad = grad.view(float).reshape(len(f), -1).take(slots, axis=1)
-    value = value[:, 0, 0]
-    return (value[0], grad[0]) if x.ndim == 1 else (value, grad)
+    return value[:, 0, 0], grad
 
 
 def _rescale_factors(factors):
@@ -625,12 +625,8 @@ def _restart(problem: _BoundProblem, r_target: float, stop,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=opts.seed, spawn_key=(*seed_key, k))
         )
-        if opts.restarts > 1:
-            sigma = opts.sigma_min + (opts.sigma_max - opts.sigma_min) * (
-                k / (opts.restarts - 1)
-            )
-        else:
-            sigma = opts.sigma_min
+        sigma = opts.sigma_min + (opts.sigma_max - opts.sigma_min) * (
+            k / max(1, opts.restarts - 1))
         factors = []
         for shape in shapes:
             noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -764,7 +760,7 @@ class _RadiusRun:
 
 
 def _sweep(problem: _BoundProblem, batch, opts: OptimizerOptions,
-           floor: float = -math.inf, cut: bool = False):
+           floor: float = -math.inf):
     """Best-first restarts over a batch of (radius, seed key) pairs.
 
     Every radius is probed with restart 0, all probes together in lockstep
@@ -779,13 +775,13 @@ def _sweep(problem: _BoundProblem, batch, opts: OptimizerOptions,
     time: once restart k prunes, every restart past k is closed and
     discarded, whether it ran or not.
 
-    With ``cut`` on, a descent stops at its first point whose penalized
-    objective is below the square of the sweep's running maximum at that
-    evaluation, the largest of ``floor`` and the restart values seen so far
-    (a probe can be stopped by a value another probe reached in the same
-    round). The stopped point is placed and measured, and its descent is
-    held (``_restart``). A stopped value is kept only while it can still
-    prune its radius: a held restart whose value cannot prune resumes in
+    A descent stops at its first point whose penalized objective is below
+    the square of the sweep's running maximum at that evaluation, the
+    largest of ``floor`` and the restart values seen so far (a probe can be
+    stopped by a value another probe reached in the same round). The
+    stopped point is placed and measured, and its descent is held
+    (``_restart``). A stopped value is kept only while it can still prune
+    its radius: a held restart whose value cannot prune resumes in
     its batch, a held probe in its radius's first batch, and a radius that
     ran all its restarts resumes its held one before it finishes. Resuming
     continues the descent where it stopped, so a finished radius is exact,
@@ -796,10 +792,8 @@ def _sweep(problem: _BoundProblem, batch, opts: OptimizerOptions,
     runs = [_RadiusRun(float(r), key) for r, key in batch]
     high = floor
 
-    def below_high(value):
+    def stop(value):
         return high > 0 and value < high * high
-
-    stop = below_high if cut else None
 
     def settle(run, k, check, low, live):
         # Restart k, or its held descent, resumed while it is stopped at a
@@ -845,28 +839,6 @@ def _sweep(problem: _BoundProblem, batch, opts: OptimizerOptions,
     return runs, floor
 
 
-def min_distance_at_radius(s: StateSet, radius: float,
-                           opts: OptimizerOptions | None = None) -> float:
-    """Best found scaled zonotope distance over product operators at a radius.
-
-    Deterministic for a fixed seed. The optimizer is local, so the value is
-    an upper estimate of the true minimum. A single radius is never pruned,
-    so every restart runs. When no restart reaches a feasible point, a
-    RuntimeWarning names the radius and the result is 0.
-    """
-    opts = opts or OptimizerOptions()
-    problem = _BoundProblem(s)
-    rmax = max_radius(problem.total)
-    if not -1e-12 <= radius <= rmax + 1e-12:
-        raise ValueError(f"radius {radius!r} outside [0, {rmax}]")
-    (run,), _ = _sweep(problem, [(float(radius), (0,))], opts)
-    if run.failed:
-        warnings.warn(f"no restart reached a feasible point at radius "
-                      f"{radius!r}; distance reported as 0", RuntimeWarning,
-                      stacklevel=2)
-    return run.value
-
-
 def error_lower_bound(s: StateSet,
                       opts: OptimizerOptions | None = None) -> BoundResult:
     """Sweep the radius grid and report half the squared best distance.
@@ -898,7 +870,7 @@ def error_lower_bound(s: StateSet,
 
     def run_batch(batch):
         nonlocal floor
-        done, floor = _sweep(problem, batch, opts, floor, cut=True)
+        done, floor = _sweep(problem, batch, opts, floor)
         for run in done:  # batch order keeps max() tie-breaking stable
             runs[run.radius] = run
 

@@ -73,8 +73,10 @@ class DyadCertificate:
 
 
 def check_pair_tol(tol: float) -> None:
-    """Raise ``ValueError`` unless the overlap tolerance is finite and > 0."""
-    if not (math.isfinite(tol) and tol > 0):
+    """Raise ``ValueError`` unless the overlap tolerance is finite and > 0;
+    bools are refused."""
+    if (isinstance(tol, (bool, np.bool_))
+            or not (math.isfinite(tol) and tol > 0)):
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import normalized, row_norms, tensor, unit_divisors
+from .linalg import normalized, row_norms, row_tensor, tensor, unit_divisors
 
 ORTHOGONALITY_TOL = 1e-10
 PRIOR_SUM_TOL = 1e-10
@@ -139,7 +139,7 @@ class StateSet:
     def global_matrix(self) -> np.ndarray:
         """All global states stacked as rows, shape (N, total_dim)."""
         if self._kets is not None:
-            return _row_tensor(self._kets)
+            return row_tensor(self._kets)
         return np.vstack([self.global_state(m) for m in range(self.n_states)])
 
     def _check_orthogonality(self):
@@ -219,15 +219,6 @@ def _unit_columns(dims, columns) -> tuple[np.ndarray, ...]:
     return tuple(units)
 
 
-def _row_tensor(stacks) -> np.ndarray:
-    """Row-wise tensor product of (N, d_i) stacks, first slowest-varying;
-    row m is bit-identical to ``tensor`` of the stacks' rows m."""
-    out = stacks[0]
-    for v in stacks[1:]:
-        out = (out[:, :, None] * v[:, None, :]).reshape(len(out), -1)
-    return out
-
-
 @dataclass(frozen=True)
 class PartyCut:
     """Partition of the parties into disjoint nonempty blocks."""
@@ -298,7 +289,7 @@ def merge_cut(s: StateSet, cut: PartyCut) -> StateSet:
     if s.all_product:
         return StateSet._from_kets(
             new_dims,
-            [_row_tensor([s.local_matrix(i) for i in b]) for b in cut.blocks],
+            [row_tensor([s.local_matrix(i) for i in b]) for b in cut.blocks],
             s.priors)
     perm = [i for b in cut.blocks for i in b]
     entries = []

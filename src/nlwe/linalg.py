@@ -7,7 +7,6 @@ convention.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -61,11 +60,24 @@ def row_norms(v) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
+def row_tensor(stacks) -> np.ndarray:
+    """Row-wise tensor product of (N, d_i) stacks, first slowest-varying.
+
+    Each entry is one product of the stacks' entries, taken left to right,
+    as in ``numpy.kron``.
+    """
+    out = stacks[0]
+    for v in stacks[1:]:
+        out = (out[:, :, None] * v[:, None, :]).reshape(len(out), -1)
+    return out
+
+
 def tensor(kets: Sequence) -> np.ndarray:
-    """Tensor product of kets, first ket slowest-varying."""
+    """Tensor product of kets, first ket slowest-varying: ``row_tensor``
+    of one row."""
     if len(kets) == 0:
         raise ValueError("tensor product of an empty list is undefined")
-    return reduce(np.kron, (as_ket(k) for k in kets))
+    return row_tensor([as_ket(k)[None] for k in kets])[0]
 
 
 def dyad(ket, bra) -> np.ndarray:

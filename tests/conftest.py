@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from nlwe.bound import _objective
 from nlwe.families import StateSet, _gentiles1_comb
 from nlwe.linalg import dyad
 
@@ -14,6 +15,14 @@ from nlwe.linalg import dyad
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def objective_at(x, problem, shapes, weight, rsq_target):
+    """``nlwe.bound._objective`` at one point x (n,): its value and its (n,)
+    gradient, from a stack of one."""
+    values, grads = _objective(np.asarray(x)[None], problem, shapes, weight,
+                               rsq_target)
+    return values[0], grads[0]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

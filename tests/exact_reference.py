@@ -1,43 +1,99 @@
-"""Exact integer reference for the certifier on the integer families.
+"""Exact reference for the certifier on the families with cyclotomic kets.
 
 Every local ket of ``tiles``, ``halder_states``, the unrotated dominoes,
-``two_qubit_demo`` and ``gentiles1(4)`` (where omega = -1) is a unit
-multiple of an integer vector. :func:`integer_kets` recovers those vectors,
-so overlaps are exact integers and ranks can be taken modulo a prime:
-the rank mod p never exceeds the rank over Q.
+``two_qubit_demo`` and ``gentiles1(n)`` is a unit multiple of a vector whose
+entries are c zeta_m^e, with c a nonnegative integer and zeta_m = e^{2 pi i
+/ m}: m = 2 (signs) for the integer families, and m = n / 2 for
+``gentiles1(n)``, whose comb phases are powers of omega = e^{4 pi i / n}.
+:func:`monomial_kets` recovers those entries. An overlap is then an integer
+polynomial in zeta_m, which is exactly zero iff it vanishes modulo the
+cyclotomic polynomial Phi_m. Ranks are taken in GF(p), with zeta_m sent to
+an element of order m; the rank mod p never exceeds the exact rank.
 """
 
 import numpy as np
 
-# The Mersenne prime 2^31 - 1: products of two residues fit in int64.
-PRIME = (1 << 31) - 1
+# 2,147,024,881 = 2979 * 720720 + 1, prime. 720720 = lcm(1, ..., 16), so
+# GF(p) holds an element of order m for every m <= 16, and products of two
+# residues fit in int64.
+PRIME = 2979 * 720720 + 1
+
+
+def monomial_kets(v: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``v`` divided by its least nonzero magnitude, as entries
+    c zeta_m^e: the integer arrays (c, e), c >= 0 and 0 <= e < m.
+
+    Raises ``ValueError`` for an entry not within 1e-9 of such a value.
+    """
+    mag = np.abs(v)
+    smallest = np.where(mag > 1e-9, mag, np.inf).min(axis=1)
+    scaled = v / smallest[:, None]
+    c = np.rint(np.abs(scaled)).astype(np.int64)
+    e = np.rint(np.angle(scaled) * m / (2 * np.pi)).astype(np.int64) % m
+    exact = c * np.exp(2j * np.pi * e / m)
+    if np.abs(scaled - exact).max(initial=0.0) > 1e-9:
+        raise ValueError(f"kets are not monomials in zeta_{m}")
+    return c, np.where(c == 0, 0, e)
 
 
 def integer_kets(v: np.ndarray) -> np.ndarray:
-    """Each row of ``v`` divided by its least nonzero magnitude, as integers.
-
-    Raises ``ValueError`` for a row that is not real, or that does not
-    round to integers within 1e-9.
-    """
-    if np.abs(v.imag).max(initial=0.0) > 1e-9:
-        raise ValueError("kets are not real")
-    re = v.real
-    smallest = np.where(np.abs(re) > 1e-9, np.abs(re), np.inf).min(axis=1)
-    scaled = re / smallest[:, None]
-    out = np.rint(scaled)
-    if np.abs(scaled - out).max(initial=0.0) > 1e-9:
-        raise ValueError("kets do not scale to integers")
-    return out.astype(np.int64)
+    """Each row of ``v`` divided by its least nonzero magnitude, as signed
+    integers: ``monomial_kets`` with m = 2."""
+    c, e = monomial_kets(v, 2)
+    return c * (1 - 2 * e)
 
 
-def exact_pairs(s, party: int) -> np.ndarray:
-    """``np.argwhere`` of the exclusive-pair mask from exact integer Grams."""
+def cyclotomic(m: int) -> np.ndarray:
+    """Phi_m's integer coefficients, lowest degree first: x^m - 1 divided
+    by Phi_d for every proper divisor d of m."""
+    poly = np.zeros(m + 1, dtype=np.int64)
+    poly[[0, m]] = -1, 1
+    for d in range(1, m):
+        if m % d == 0:
+            divisor = cyclotomic(d)
+            quotient = np.zeros(len(poly) - len(divisor) + 1, dtype=np.int64)
+            for k in range(len(quotient) - 1, -1, -1):
+                quotient[k] = poly[k + len(divisor) - 1]
+                poly[k:k + len(divisor)] -= quotient[k] * divisor
+            poly = quotient
+    return poly
+
+
+def exact_overlaps_zero(v: np.ndarray, m: int) -> np.ndarray:
+    """Which overlaps <v_i|v_j> are exactly zero, for rows of entries
+    c zeta_m^e (``monomial_kets``): their integer polynomials in zeta_m,
+    reduced modulo Phi_m (monic, so the division stays integral)."""
+    c, e = monomial_kets(v, m)
+    # h[i, k, r] is entry k of row i's coefficient of zeta^r.
+    h = c[:, :, None] * (e[:, :, None] == np.arange(m))
+    poly = np.zeros((len(v), len(v), m), dtype=np.int64)
+    for a in range(m):
+        # conj(zeta^a) zeta^(b + a) = zeta^b.
+        poly += np.einsum("ik,jkb->ijb", h[:, :, a], np.roll(h, -a, axis=2))
+    phi = cyclotomic(m)
+    for top in range(m - 1, len(phi) - 2, -1):
+        lead = poly[:, :, top].copy()
+        poly[:, :, top - len(phi) + 1:top + 1] -= lead[:, :, None] * phi
+    return ~poly.any(axis=2)
+
+
+def exact_pairs(s, party: int, m: int) -> np.ndarray:
+    """``np.argwhere`` of the exclusive-pair mask from exact overlaps."""
     mask = ~np.eye(s.n_states, dtype=bool)
     for beta in range(s.parties):
-        w = integer_kets(s.local_matrix(beta))
-        gram = w @ w.T
-        mask &= (gram == 0) if beta == party else (gram != 0)
+        zero = exact_overlaps_zero(s.local_matrix(beta), m)
+        mask &= zero if beta == party else ~zero
     return np.argwhere(mask)
+
+
+def root_of_unity(m: int) -> int:
+    """The first element of order m in GF(``PRIME``), taking g^((p-1)/m) for
+    g = 2, 3, ..."""
+    for g in range(2, PRIME):
+        z = pow(g, (PRIME - 1) // m, PRIME)
+        if all(pow(z, k, PRIME) != 1 for k in range(1, m)):
+            return z
+    raise ValueError(f"no element of order {m}")
 
 
 def rank_mod_p(rows: np.ndarray) -> int:
@@ -58,10 +114,14 @@ def rank_mod_p(rows: np.ndarray) -> int:
     return rank
 
 
-def dyad_rank_mod_p(s, party: int, pairs: np.ndarray) -> int:
-    """Rank mod ``PRIME`` of the distinct integer dyads |w_i><w_j|."""
-    w = integer_kets(s.local_matrix(party))
-    dyads = w[pairs[:, 0], :, None] * w[pairs[:, 1], None, :]
+def dyad_rank_mod_p(s, party: int, pairs: np.ndarray, m: int) -> int:
+    """Rank mod ``PRIME`` of the distinct dyads |w_i><w_j|, with zeta_m sent
+    to ``root_of_unity(m)`` and its conjugate to the inverse."""
+    c, e = monomial_kets(s.local_matrix(party), m)
+    z = root_of_unity(m)
+    powers = np.array([pow(z, k, PRIME) for k in range(m)])
+    ket, bra = c * powers[e] % PRIME, c * powers[-e % m] % PRIME
+    dyads = ket[pairs[:, 0], :, None] * bra[pairs[:, 1], None, :] % PRIME
     return rank_mod_p(np.unique(dyads.reshape(len(pairs), -1), axis=0))
 
 

@@ -13,7 +13,6 @@ import pytest
 from nlwe.bound import (
     OptimizerOptions,
     _BoundProblem,
-    _objective,
     _pack,
     error_lower_bound,
 )
@@ -43,6 +42,7 @@ from conftest import (
     apply_local_unitaries,
     gentiles1_witness_dyads,
     haar_unitary,
+    objective_at,
     permute_states,
 )
 from dense_reference import (
@@ -269,15 +269,15 @@ class TestPropertySuites:
                                            + 1j * rng.normal(size=(d, d)))
                        for d in s.dims]
             x = _pack(factors)
-            _, grad = _objective(x, problem, shapes, 0.0, 0.0)
+            _, grad = objective_at(x, problem, shapes, 0.0, 0.0)
             h = 1e-6
             fd = np.zeros_like(x)
             for i in range(x.size):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                fd[i] = (_objective(xp, problem, shapes, 0.0, 0.0)[0]
-                         - _objective(xm, problem, shapes, 0.0, 0.0)[0]) / (2 * h)
+                fd[i] = (objective_at(xp, problem, shapes, 0.0, 0.0)[0]
+                         - objective_at(xm, problem, shapes, 0.0, 0.0)[0]) / (2 * h)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-10)
             worst = max(worst, rel)
             assert rel <= 1e-5

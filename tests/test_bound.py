@@ -17,11 +17,11 @@ from nlwe.bound import (
     _project_to_radius,
     _rescale_factors,
     _restart,
+    _sweep,
     _unpack,
     distance_from_identity,
     error_lower_bound,
     max_radius,
-    min_distance_at_radius,
 )
 from nlwe.families import (
     StateSet,
@@ -33,7 +33,7 @@ from nlwe.families import (
 )
 
 import objective_reference as reference
-from conftest import one_way_product_set
+from conftest import objective_at, one_way_product_set
 from dense_reference import (
     ProductOperator,
     discrimination_operator,
@@ -44,6 +44,21 @@ from dense_reference import (
 )
 
 FAST_OPTS = OptimizerOptions(r_steps=5, restarts=8, refine_levels=1)
+
+
+def inner_minimum(s, radius, opts):
+    """The best distance found at one radius: ``_sweep`` of that radius
+    alone, which nothing can prune, so every restart runs; 0 where no
+    restart reached a feasible point."""
+    (run,), _ = _sweep(_BoundProblem(s), [(float(radius), (0,))], opts)
+    return run.value
+
+
+def without_cut(restart):
+    """``restart`` with its cut check dropped, so no descent is stopped."""
+    def uncut(problem, radius, stop, *rest):
+        return restart(problem, radius, None, *rest)
+    return uncut
 
 
 def run_restart(problem, *args):
@@ -61,7 +76,7 @@ def drive(problem, restart):
         shapes, x, weight, target = request
         try:
             request = restart.send(
-                _objective(x, problem, shapes, weight, target))
+                objective_at(x, problem, shapes, weight, target))
         except StopIteration as done:
             return requests, done.value
 
@@ -70,7 +85,8 @@ def kernel_distance(problem, factors):
     """The scaled distance of kron(L_a^dag L_a), as the restarts measure
     it: the root of the kernel's value at the factors with weight 0."""
     shapes = [f.shape for f in factors]
-    return math.sqrt(_objective(_pack(factors), problem, shapes, 0.0, 0.0)[0])
+    return math.sqrt(objective_at(_pack(factors), problem, shapes, 0.0,
+                                  0.0)[0])
 
 
 def phased_bell():
@@ -352,15 +368,15 @@ class TestGradient:
                 for shape in shapes
             ]
             x = _pack(factors)
-            _, grad = _objective(x, problem, shapes, weight, target)
+            _, grad = objective_at(x, problem, shapes, weight, target)
             h = 1e-6
             fd = np.zeros_like(x)
             for i in range(x.size):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                fp, _ = _objective(xp, problem, shapes, weight, target)
-                fm, _ = _objective(xm, problem, shapes, weight, target)
+                fp, _ = objective_at(xp, problem, shapes, weight, target)
+                fm, _ = objective_at(xm, problem, shapes, weight, target)
                 fd[i] = (fp - fm) / (2 * h)
             denom = max(np.linalg.norm(fd), 1e-10)
             assert np.linalg.norm(grad - fd) / denom <= 1e-5
@@ -398,7 +414,7 @@ class TestObjectiveReference:
         shapes = [f.shape for f in factors]
         out = []
         for problem, objective, pack, unpack in (
-                (_BoundProblem(s), _objective, _pack, _unpack),
+                (_BoundProblem(s), objective_at, _pack, _unpack),
                 (reference.ReferenceProblem(s), reference._objective,
                  reference._pack, reference._unpack)):
             value, grad = objective(pack(factors), problem, shapes, weight,
@@ -493,8 +509,8 @@ class TestObjectiveReference:
             assert values[i] == pytest.approx(ref_value, rel=1e-12, abs=0)
             assert np.linalg.norm(grad - ref_grad) \
                 <= 1e-10 * np.linalg.norm(ref_grad)
-            value, alone = _objective(x[i], problem, shapes, weights[i],
-                                      targets[i])
+            value, alone = objective_at(x[i], problem, shapes, weights[i],
+                                        targets[i])
             assert value == pytest.approx(values[i], rel=1e-13, abs=0)
             assert np.linalg.norm(alone - grads[i]) \
                 <= 1e-13 * np.linalg.norm(grads[i])
@@ -864,7 +880,7 @@ class TestLbfgs:
 
         requests, (value, converged, stopped) = drive(
             problem, _restart(problem, 0.4, below, FAST_OPTS, (0,), 0))
-        values = [_objective(x, problem, shapes, weight, target)[0]
+        values = [objective_at(x, problem, shapes, weight, target)[0]
                   for shapes, x, weight, target in requests]
         assert stopped and converged
         assert values[-2] < 0.15
@@ -904,9 +920,9 @@ class TestLbfgs:
         args = (problem, shapes, 10.0, 0.2 ** 2)
 
         def fun(x):
-            return _objective(x, *args)
+            return objective_at(x, *args)
 
-        x, converged = lbfgs(_objective, x0, args, 300, 1e-14)
+        x, converged = lbfgs(objective_at, x0, args, 300, 1e-14)
         ref = scipy_lbfgsb(fun, x0)
         assert converged == ref.success
         assert abs(fun(x)[0] - ref.fun) <= 1e-10
@@ -924,7 +940,7 @@ class TestMeasurement:
         shapes, x, weight, target = requests[-1]
         assert weight == 0.0
         assert value == math.sqrt(
-            _objective(x, problem, shapes, 0.0, target)[0])
+            objective_at(x, problem, shapes, 0.0, target)[0])
         return value, _unpack(x, shapes), requests[:-1]
 
     @pytest.mark.parametrize("radius", [0.4, max_radius(4)],
@@ -979,25 +995,24 @@ class TestMeasurement:
 
 
 class TestMinDistanceAtRadius:
+    """The inner minimum at one radius, which ``error_lower_bound`` reports
+    as ``delta_r``; ``inner_minimum`` runs it alone."""
+
     def test_zero_radius(self):
-        assert min_distance_at_radius(two_qubit_demo(), 0.0, FAST_OPTS) == 0.0
+        assert inner_minimum(two_qubit_demo(), 0.0, FAST_OPTS) == 0.0
 
     def test_demo_vanishes_everywhere(self):
         s = two_qubit_demo()
         for r in (0.25, 0.6, max_radius(4)):
-            assert min_distance_at_radius(s, r, FAST_OPTS) <= 1e-6
-
-    def test_radius_out_of_range(self):
-        with pytest.raises(ValueError):
-            min_distance_at_radius(two_qubit_demo(), 1.5, FAST_OPTS)
+            assert inner_minimum(s, r, FAST_OPTS) <= 1e-6
 
     def test_bell_distance_strictly_positive(self):
-        assert min_distance_at_radius(bell_states(), 0.4, FAST_OPTS) > 0.01
+        assert inner_minimum(bell_states(), 0.4, FAST_OPTS) > 0.01
 
     def test_never_worse_than_sampling(self, rng):
         s = bell_states()
         radius = 0.4
-        optimum = min_distance_at_radius(s, radius, FAST_OPTS)
+        optimum = inner_minimum(s, radius, FAST_OPTS)
         baseline = sampled_min_distance(s, radius, 100_000, rng)
         assert optimum <= baseline + 1e-6
 
@@ -1089,6 +1104,8 @@ class TestOptimizerOptions:
         ("restarts", 2.5), ("restarts", True), ("r_steps", 2.5),
         ("refine_points", 2.5), ("penalty_stages", 1.5), ("seed", 1.5),
         ("max_iters", 10.0), ("refine_levels", False), ("seed", "0"),
+        ("tol", True), ("tol", np.True_), ("penalty_base", True),
+        ("sigma_min", False), ("sigma_max", np.True_),
     ])
     def test_rejects_invalid(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -1153,7 +1170,7 @@ class TestPruning:
             return original(*args)
 
         monkeypatch.setattr(bound, "_restart", counting)
-        min_distance_at_radius(bell_states(), 0.4, FAST_OPTS)
+        inner_minimum(bell_states(), 0.4, FAST_OPTS)
         assert calls == list(range(FAST_OPTS.restarts))
 
 
@@ -1165,10 +1182,8 @@ def uncut_tiles(seed):
     """``tiles`` bound for ``TILES_OPTS[seed]`` with no descent ever cut."""
     import nlwe.bound as bound
 
-    sweep = bound._sweep
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bound, "_sweep",
-                      lambda *args, cut: sweep(*args, cut=False))
+        patch.setattr(bound, "_restart", without_cut(_restart))
         return error_lower_bound(tiles(), TILES_OPTS[seed])
 
 
@@ -1272,14 +1287,15 @@ class TestCut:
             yield
 
         def sweep(cut):
+            monkeypatch.setattr(bound, "_restart",
+                                scripted if cut else without_cut(scripted))
             runs, floor = bound._sweep(
                 None, [(r, (0, i)) for i, r in enumerate(values)],
-                OptimizerOptions(restarts=3), cut=cut)
+                OptimizerOptions(restarts=3))
             assert not any(run.held for run in runs)
             return floor, [(run.radius, run.value, run.pruned, run.restarts,
                             run.projected, run.converged) for run in runs]
 
-        monkeypatch.setattr(bound, "_restart", scripted)
         floor, runs = sweep(True)
         assert stops == [(0.2, 0), (0.3, 0), (0.2, 1), (0.3, 1)]
         assert (floor, runs) == (1e-3, [(0.1, 1e-3, False, 3, 3, 3),
@@ -1364,7 +1380,7 @@ class TestCut:
         monkeypatch.setattr(bound, "_objective", stub)
         runs, _ = bound._sweep(types.SimpleNamespace(batch=64),
                                [(0.1, (0, 0)), (0.2, (0, 1))],
-                               OptimizerOptions(restarts=8), cut=True)
+                               OptimizerOptions(restarts=8))
         assert runs[0].value == floor and not runs[0].pruned
 
         # One restart at a time: a held value that cannot prune resumes.
@@ -1538,13 +1554,6 @@ class TestFailedRadii:
         assert res.diagnostics["converged_fraction"] > 0.5
         assert not any("convergence" in w
                        for w in res.diagnostics["warnings"])
-
-    def test_single_radius_failure_warned(self, monkeypatch):
-        monkeypatch.setattr("nlwe.bound._project_to_radius",
-                            lambda psd, r: None)
-        with pytest.warns(RuntimeWarning, match="radius 0.4"):
-            value = min_distance_at_radius(bell_states(), 0.4, FAST_OPTS)
-        assert value == 0.0
 
     def test_none_on_healthy_run(self):
         res = error_lower_bound(two_qubit_demo(), FAST_OPTS)

@@ -329,7 +329,8 @@ class TestExclusivePairs:
         with pytest.raises(ValueError, match="product"):
             exclusive_pairs(bell_states(), 0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, True,
+                                     np.True_])
     def test_rejects_tol_not_finite_positive(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):
             exclusive_pairs(tiles(), 0, tol)
@@ -601,8 +602,9 @@ class TestCuts:
             strong_nlwe(tiles())
 
 
-def integer_family_sets():
-    """The sets whose local kets are unit multiples of integer vectors."""
+def exact_family_sets():
+    """The sets whose local kets are unit multiples of vectors with entries
+    c zeta_m^e, and their m: 2 for integer kets, n / 2 for gentiles1(n)."""
     halder = halder_states("full")
     sets = {"tiles": tiles(), "halder-full": halder,
             "rotated-dominoes": rotated_dominoes(*(math.pi / 4,) * 4),
@@ -610,25 +612,28 @@ def integer_family_sets():
     for cut in PartyCut.bipartitions(halder.parties):
         name = "|".join(",".join(map(str, b)) for b in cut.blocks)
         sets[f"halder-full-{name}"] = merge_cut(halder, cut)
+    sets = {name: (s, 2) for name, s in sets.items()}
+    for n in (6, 8):
+        sets[f"gentiles1-{n}"] = (gentiles1(n), n // 2)
     return sets
 
 
 class TestExactReference:
-    """The certifier against exact integer arithmetic (exact_reference.py).
+    """The certifier against exact arithmetic (exact_reference.py).
 
     A party whose rank mod p is d^2 - 1 is proved to saturate: the exact
-    pairs make its dyads exactly traceless, so the rank over Q is at most
-    d^2 - 1, and it is at least the rank mod p.
+    pairs make its dyads exactly traceless, so the rank over Q(zeta_m) is
+    at most d^2 - 1, and it is at least the rank mod p.
     """
 
-    @pytest.mark.parametrize("name", list(integer_family_sets()))
+    @pytest.mark.parametrize("name", list(exact_family_sets()))
     def test_pairs_and_ranks_are_exact(self, name):
-        s = integer_family_sets()[name]
+        s, m = exact_family_sets()[name]
         cert = certify(s)
         for record in cert.records:
-            pairs = exact_reference.exact_pairs(s, record.party)
+            pairs = exact_reference.exact_pairs(s, record.party, m)
             assert np.array_equal(record.pairs, pairs)
-            rank = exact_reference.dyad_rank_mod_p(s, record.party, pairs)
+            rank = exact_reference.dyad_rank_mod_p(s, record.party, pairs, m)
             assert rank == record.span_rank
         # two_qubit_demo's party 0 ranks 2 of 3: a rank mod p below d^2 - 1
         # only bounds the exact rank from below, so there the agreement is
@@ -645,11 +650,36 @@ class TestExactReference:
         assert minimal_upb_check(s)
 
     def test_non_integer_kets_refused(self):
-        with pytest.raises(ValueError, match="not real"):
+        with pytest.raises(ValueError, match="zeta_2"):
             exact_reference.integer_kets(gentiles1(6).local_matrix(0))
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="zeta_2"):
             exact_reference.integer_kets(
                 rotated_dominoes(0.3, 0.3, 0.3, 0.3).local_matrix(0))
+
+    @pytest.mark.parametrize("m,coeffs", [
+        (1, [-1, 1]), (2, [1, 1]), (3, [1, 1, 1]), (4, [1, 0, 1]),
+        (6, [1, -1, 1]), (8, [1, 0, 0, 0, 1])])
+    def test_cyclotomic_and_roots(self, m, coeffs):
+        assert exact_reference.cyclotomic(m).tolist() == coeffs
+        z = exact_reference.root_of_unity(m)
+        assert pow(z, m, exact_reference.PRIME) == 1
+        # zeta_m is a root of Phi_m in GF(p) too.
+        assert sum(c * pow(z, k, exact_reference.PRIME)
+                   for k, c in enumerate(coeffs)) % exact_reference.PRIME == 0
+
+    def test_overlaps_zero_mod_phi(self):
+        # 1 + omega + omega^2 = 0 for omega = zeta_3, and i - i = 0, but
+        # 1 + omega != 0 and 1 + i != 0.
+        omega = np.exp(2j * np.pi / 3)
+        v = np.array([[1, 1, 1], [1, omega, omega ** 2]])
+        assert exact_reference.exact_overlaps_zero(v, 3)[0, 1]
+        assert not exact_reference.exact_overlaps_zero(v[:, :2], 3)[0, 1]
+        w = np.array([[1, 1j], [1j, 1], [1, 1]])
+        assert exact_reference.exact_overlaps_zero(w, 4).tolist() == [
+            [False, True, False], [True, False, False],
+            [False, False, False]]
+        with pytest.raises(ValueError, match="monomials"):
+            exact_reference.exact_overlaps_zero(v, 4)
 
     def test_rank_mod_p_and_det(self):
         assert exact_reference.rank_mod_p([[1, 2], [2, 4]]) == 1

@@ -101,6 +101,17 @@ def test_bound_runs_without_scipy():
     assert done.stdout == "0 False\n"
 
 
+def test_module_entry_prints_version():
+    # ``python -m nlwe`` runs src/nlwe/__main__.py, which exits with main()'s
+    # status.
+    src = Path(nlwe.cli.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "nlwe", "--version"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"{nlwe.__version__}\n"
+
+
 class TestGenerate:
     def test_tiles_file(self, tmp_path, capsys):
         out = tmp_path / "tiles.json"
