@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .families import StateSet, is_plain_int
+from .families import StateSet, is_plain_int, is_real
 
 # Below this projected trace the scaled distance is defined as zero, which
 # can only lower the reported bound, never overstate it.
@@ -94,19 +94,17 @@ class OptimizerOptions:
             elif value < low:
                 problems.append(f"{name} must be "
                                 + ("nonnegative" if low == 0 else "at least 1"))
-        problems += [f"{name} must be a float, got {value!r}"
-                     for name in ("tol", "penalty_base", "sigma_min",
-                                  "sigma_max")
-                     if isinstance(value := getattr(self, name),
-                                   (bool, np.bool_))]
-        checks = (
+        floats = [f"{name} must be a float, got {value!r}"
+                  for name in ("tol", "penalty_base", "sigma_min", "sigma_max")
+                  if not is_real(value := getattr(self, name))]
+        checks = () if floats else (
             (0 < self.tol < math.inf, "tol must be finite and positive"),
             (0 < self.penalty_base < math.inf,
              "penalty_base must be finite and positive"),
             (0 <= self.sigma_min <= self.sigma_max < math.inf,
              "need 0 <= sigma_min <= sigma_max, sigma_max finite"),
         )
-        problems += [message for ok, message in checks if not ok]
+        problems += floats + [message for ok, message in checks if not ok]
         if problems:
             raise ValueError("invalid optimizer options: "
                              + "; ".join(problems))

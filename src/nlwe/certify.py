@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .families import PartyCut, StateSet, is_plain_int, merge_cut, plain_ints
+from .families import (PartyCut, StateSet, is_plain_int, is_real, merge_cut,
+                       plain_ints)
 from .linalg import DEFAULT_RANK_TOL, dyad, numerical_rank
 
 # Overlap threshold used both for "orthogonal on this party" and for
@@ -73,10 +74,9 @@ class DyadCertificate:
 
 
 def check_pair_tol(tol: float) -> None:
-    """Raise ``ValueError`` unless the overlap tolerance is finite and > 0;
-    bools are refused."""
-    if (isinstance(tol, (bool, np.bool_))
-            or not (math.isfinite(tol) and tol > 0)):
+    """Raise ``ValueError`` unless the overlap tolerance is a finite real
+    number > 0; bools are refused."""
+    if not (is_real(tol) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,11 @@ FILE_FORMAT_VERSION = 1
 def is_plain_int(x) -> bool:
     """Whether ``x`` is an int or numpy integer; bools are refused."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """Whether ``x`` is a real number, numpy scalars included, but no bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class StateSet:
@@ -55,23 +61,11 @@ class StateSet:
         entries = [tuple(entry) for entry in states]
         if entries and all(len(entry) == len(dims) for entry in entries):
             kets = _unit_columns(dims, [_column(c) for c in zip(*entries)])
-            members = None
+            states = tuple(zip(*kets))
         else:
             kets = None
-            members = tuple(_member_kets(m, entry, dims)
-                            for m, entry in enumerate(entries))
-        self._setup(dims, kets, members, priors, validate)
-
-    @classmethod
-    def _from_kets(cls, dims, kets, priors=None) -> "StateSet":
-        """Validated product set from one (N, d_a) ket array per party."""
-        dims = _checked_dims(dims)
-        s = cls.__new__(cls)
-        s._setup(dims, _unit_columns(dims, kets), None, priors, True)
-        return s
-
-    def _setup(self, dims, kets, members, priors, validate):
-        states = tuple(zip(*kets)) if members is None else members
+            states = tuple(_member_kets(m, entry, dims)
+                           for m, entry in enumerate(entries))
         n = len(states)
         if n == 0:
             raise ValueError("state set is empty")
@@ -138,8 +132,6 @@ class StateSet:
 
     def global_matrix(self) -> np.ndarray:
         """All global states stacked as rows, shape (N, total_dim)."""
-        if self._kets is not None:
-            return row_tensor(self._kets)
         return np.vstack([self.global_state(m) for m in range(self.n_states)])
 
     def _check_orthogonality(self):
@@ -287,10 +279,9 @@ def merge_cut(s: StateSet, cut: PartyCut) -> StateSet:
         )
     new_dims = tuple(math.prod(s.dims[i] for i in b) for b in cut.blocks)
     if s.all_product:
-        return StateSet._from_kets(
-            new_dims,
-            [row_tensor([s.local_matrix(i) for i in b]) for b in cut.blocks],
-            s.priors)
+        blocks = [row_tensor([s.local_matrix(i) for i in b])
+                  for b in cut.blocks]
+        return StateSet(new_dims, zip(*blocks), s.priors)
     perm = [i for b in cut.blocks for i in b]
     entries = []
     for kets in s.states:
@@ -488,33 +479,13 @@ def from_payload(payload: dict) -> StateSet:
         if any(isinstance(p, str) for p in payload["priors"]):
             raise ValueError("priors must be numbers, not strings")
         priors = [float(p) for p in payload["priors"]]
-        kets = _payload_kets(payload["states"], len(dims))
-        if kets is None:
-            states = [
-                [np.array([complex(re, im) for re, im in ket]) for ket in entry]
-                for entry in payload["states"]
-            ]
+        states = [
+            [np.array([complex(re, im) for re, im in ket]) for ket in entry]
+            for entry in payload["states"]
+        ]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state-set payload: {exc}") from exc
-    if kets is None:
-        return StateSet(dims, states, priors)
-    return StateSet._from_kets(dims, kets, priors)
-
-
-def _payload_kets(states, parties: int) -> list[np.ndarray] | None:
-    """Each party's kets as one (N, d) complex array, from one ``np.array``
-    of its [re, im] number pairs; None when the payload's members are not
-    all ``parties`` kets of equal length per party made of such pairs."""
-    try:
-        arrays = [np.array(column) for column in zip(*states, strict=True)]
-    except (TypeError, ValueError):
-        return None
-    # Strings would parse as floats; complex(re, im) refuses them.
-    if len(arrays) != parties or any(
-            v.ndim != 3 or v.shape[2] != 2 or v.dtype.kind not in "biuf"
-            for v in arrays):
-        return None
-    return [v.astype(float).view(complex)[..., 0] for v in arrays]
+    return StateSet(dims, states, priors)
 
 
 def save(s: StateSet, path) -> None:

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from nlwe.bound import _objective
-from nlwe.families import StateSet, _gentiles1_comb
+from nlwe.families import (
+    StateSet,
+    _gentiles1_comb,
+    gentiles1,
+    halder_states,
+    rotated_dominoes,
+    tiles,
+)
 from nlwe.linalg import dyad
 
 
@@ -136,6 +143,28 @@ def one_way_product_set(d0: int, d1: int, seed: int) -> StateSet:
         members += [(u[:, k], v[:, j]) for j in range(d1)]
     priors = rng.random(len(members)) + 0.1
     return StateSet((d0, d1), members, priors / priors.sum())
+
+
+def dropped_subsets() -> list[tuple[str, StateSet]]:
+    """The "never both" sample: (family, subset) pairs, 8 subsets per count
+    of dropped members (1, 2 and 3) of each of four certified families.
+
+    One ``default_rng(7)`` draws each subset's kept members with
+    ``choice(N, N - dropped, replace=False)``, family by family in the
+    order below; the subset keeps them in member order, with uniform priors.
+    """
+    rng = np.random.default_rng(7)
+    subsets = []
+    for name, s in (("tiles", tiles()), ("halder-full", halder_states("full")),
+                    ("gentiles1-4", gentiles1(4)),
+                    ("dominoes", rotated_dominoes(0.3, 0.4, 0.5, 0.6))):
+        for dropped in (1, 2, 3):
+            for _ in range(8):
+                keep = np.sort(rng.choice(s.n_states, s.n_states - dropped,
+                                          replace=False))
+                subsets.append(
+                    (name, StateSet(s.dims, [s.states[i] for i in keep])))
+    return subsets
 
 
 def gentiles1_witness_dyads(n: int) -> list[np.ndarray]:

@@ -5,10 +5,13 @@ Every local ket of ``tiles``, ``halder_states``, the unrotated dominoes,
 entries are c zeta_m^e, with c a nonnegative integer and zeta_m = e^{2 pi i
 / m}: m = 2 (signs) for the integer families, and m = n / 2 for
 ``gentiles1(n)``, whose comb phases are powers of omega = e^{4 pi i / n}.
-:func:`monomial_kets` recovers those entries. An overlap is then an integer
-polynomial in zeta_m, which is exactly zero iff it vanishes modulo the
-cyclotomic polynomial Phi_m. Ranks are taken in GF(p), with zeta_m sent to
-an element of order m; the rank mod p never exceeds the exact rank.
+So is every ket of ``rotated_dominoes`` whose angles have rational cosines
+and sines, such as cos = 4/5 and 12/13: there 65 times each unit ket is an
+integer vector. :func:`monomial_kets` recovers those entries. An overlap is
+then an integer polynomial in zeta_m, which is exactly zero iff it vanishes
+modulo the cyclotomic polynomial Phi_m. Ranks are taken in GF(p), with
+zeta_m sent to an element of order m; the rank mod p never exceeds the
+exact rank.
 """
 
 import numpy as np
@@ -19,15 +22,21 @@ import numpy as np
 PRIME = 2979 * 720720 + 1
 
 
-def monomial_kets(v: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``v`` divided by its least nonzero magnitude, as entries
-    c zeta_m^e: the integer arrays (c, e), c >= 0 and 0 <= e < m.
+def monomial_kets(v: np.ndarray, m: int,
+                  denominator: int | None = None) -> tuple[np.ndarray,
+                                                           np.ndarray]:
+    """Each row of ``v`` as entries c zeta_m^e: the integer arrays (c, e),
+    c >= 0 and 0 <= e < m. Rows are multiplied by ``denominator`` when it is
+    given, a common denominator of their entries, and otherwise divided by
+    their least nonzero magnitude.
 
     Raises ``ValueError`` for an entry not within 1e-9 of such a value.
     """
-    mag = np.abs(v)
-    smallest = np.where(mag > 1e-9, mag, np.inf).min(axis=1)
-    scaled = v / smallest[:, None]
+    if denominator is None:
+        mag = np.abs(v)
+        scaled = v / np.where(mag > 1e-9, mag, np.inf).min(axis=1)[:, None]
+    else:
+        scaled = v * denominator
     c = np.rint(np.abs(scaled)).astype(np.int64)
     e = np.rint(np.angle(scaled) * m / (2 * np.pi)).astype(np.int64) % m
     exact = c * np.exp(2j * np.pi * e / m)
@@ -59,11 +68,12 @@ def cyclotomic(m: int) -> np.ndarray:
     return poly
 
 
-def exact_overlaps_zero(v: np.ndarray, m: int) -> np.ndarray:
+def exact_overlaps_zero(v: np.ndarray, m: int,
+                        denominator: int | None = None) -> np.ndarray:
     """Which overlaps <v_i|v_j> are exactly zero, for rows of entries
     c zeta_m^e (``monomial_kets``): their integer polynomials in zeta_m,
     reduced modulo Phi_m (monic, so the division stays integral)."""
-    c, e = monomial_kets(v, m)
+    c, e = monomial_kets(v, m, denominator)
     # h[i, k, r] is entry k of row i's coefficient of zeta^r.
     h = c[:, :, None] * (e[:, :, None] == np.arange(m))
     poly = np.zeros((len(v), len(v), m), dtype=np.int64)
@@ -77,11 +87,12 @@ def exact_overlaps_zero(v: np.ndarray, m: int) -> np.ndarray:
     return ~poly.any(axis=2)
 
 
-def exact_pairs(s, party: int, m: int) -> np.ndarray:
+def exact_pairs(s, party: int, m: int,
+                denominator: int | None = None) -> np.ndarray:
     """``np.argwhere`` of the exclusive-pair mask from exact overlaps."""
     mask = ~np.eye(s.n_states, dtype=bool)
     for beta in range(s.parties):
-        zero = exact_overlaps_zero(s.local_matrix(beta), m)
+        zero = exact_overlaps_zero(s.local_matrix(beta), m, denominator)
         mask &= zero if beta == party else ~zero
     return np.argwhere(mask)
 
@@ -114,10 +125,11 @@ def rank_mod_p(rows: np.ndarray) -> int:
     return rank
 
 
-def dyad_rank_mod_p(s, party: int, pairs: np.ndarray, m: int) -> int:
+def dyad_rank_mod_p(s, party: int, pairs: np.ndarray, m: int,
+                    denominator: int | None = None) -> int:
     """Rank mod ``PRIME`` of the distinct dyads |w_i><w_j|, with zeta_m sent
     to ``root_of_unity(m)`` and its conjugate to the inverse."""
-    c, e = monomial_kets(s.local_matrix(party), m)
+    c, e = monomial_kets(s.local_matrix(party), m, denominator)
     z = root_of_unity(m)
     powers = np.array([pow(z, k, PRIME) for k in range(m)])
     ket, bra = c * powers[e] % PRIME, c * powers[-e % m] % PRIME

@@ -1,11 +1,11 @@
 """Per-member reference for the state-set layout of ``nlwe.families``.
 
 ``nlwe.families.StateSet`` stores a product set as one (N, d_a) ket array
-per party, normalizes and checks each party's array at once, and builds
-those arrays directly in ``from_payload`` and ``merge_cut``. These versions
-keep one tuple of kets per member, normalize each ket on its own and tensor
-members one at a time, so tests can check the stored kets, the priors and
-the error messages of the package against them.
+per party, normalizes and checks each party's array at once, and
+``merge_cut`` forms each block's kets as one row-wise Kronecker product.
+These versions keep one tuple of kets per member, normalize each ket on its
+own and tensor members one at a time, so tests can check the stored kets,
+the priors and the error messages of the package against them.
 """
 
 import math

@@ -33,7 +33,7 @@ from nlwe.families import (
 )
 
 import objective_reference as reference
-from conftest import objective_at, one_way_product_set
+from conftest import dropped_subsets, objective_at, one_way_product_set
 from dense_reference import (
     ProductOperator,
     discrimination_operator,
@@ -42,6 +42,7 @@ from dense_reference import (
     segment_distance_inequality,
     zonotope_distance,
 )
+from protocol_reference import protocol
 
 FAST_OPTS = OptimizerOptions(r_steps=5, restarts=8, refine_levels=1)
 
@@ -1105,7 +1106,9 @@ class TestOptimizerOptions:
         ("refine_points", 2.5), ("penalty_stages", 1.5), ("seed", 1.5),
         ("max_iters", 10.0), ("refine_levels", False), ("seed", "0"),
         ("tol", True), ("tol", np.True_), ("penalty_base", True),
-        ("sigma_min", False), ("sigma_max", np.True_),
+        ("sigma_min", False), ("sigma_max", np.True_), ("tol", "1"),
+        ("tol", 1 + 0j), ("sigma_min", None), ("penalty_base", "10"),
+        ("sigma_max", "1.0"),
     ])
     def test_rejects_invalid(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -1572,3 +1575,12 @@ class TestOneWaySentinel:
         res = error_lower_bound(one_way_product_set(*dims, seed), FAST_OPTS)
         assert res.diagnostics["max_delta"] <= 1e-5
         assert res.diagnostics["warnings"] == []
+
+    @pytest.mark.parametrize("family", ["tiles", "gentiles1-4", "dominoes"])
+    def test_protocol_subset_max_delta_small(self, family):
+        # The first subset of the family in the "never both" sample that
+        # has a component protocol; halder-full's subsets there have none.
+        s = next(s for name, s in dropped_subsets()
+                 if name == family and protocol(s) is not None)
+        res = error_lower_bound(s, FAST_OPTS)
+        assert res.diagnostics["max_delta"] <= 1e-5

@@ -43,14 +43,17 @@ from nlwe.linalg import DEFAULT_RANK_TOL, dyad, numerical_rank
 
 from conftest import (
     apply_local_unitaries,
+    dropped_subsets,
     general_position_upb,
     gentiles1_witness_dyads,
     haar_unitary,
     near_dependent_upb,
+    one_way_product_set,
     permute_states,
     shifts_upb,
 )
 import exact_reference
+import protocol_reference
 from flat_reference import closure_rank, subset_minimal
 from flat_reference import hyperplanes as reference_hyperplanes
 
@@ -330,7 +333,7 @@ class TestExclusivePairs:
             exclusive_pairs(bell_states(), 0)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, True,
-                                     np.True_])
+                                     np.True_, "1", None, 1j])
     def test_rejects_tol_not_finite_positive(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):
             exclusive_pairs(tiles(), 0, tol)
@@ -604,7 +607,9 @@ class TestCuts:
 
 def exact_family_sets():
     """The sets whose local kets are unit multiples of vectors with entries
-    c zeta_m^e, and their m: 2 for integer kets, n / 2 for gentiles1(n)."""
+    c zeta_m^e, with their m (2 for integer kets, n / 2 for gentiles1(n))
+    and the common denominator of their unit kets' entries, or None where
+    each ket is scaled by its least nonzero magnitude."""
     halder = halder_states("full")
     sets = {"tiles": tiles(), "halder-full": halder,
             "rotated-dominoes": rotated_dominoes(*(math.pi / 4,) * 4),
@@ -612,9 +617,14 @@ def exact_family_sets():
     for cut in PartyCut.bipartitions(halder.parties):
         name = "|".join(",".join(map(str, b)) for b in cut.blocks)
         sets[f"halder-full-{name}"] = merge_cut(halder, cut)
-    sets = {name: (s, 2) for name, s in sets.items()}
+    sets = {name: (s, 2, None) for name, s in sets.items()}
     for n in (6, 8):
-        sets[f"gentiles1-{n}"] = (gentiles1(n), n // 2)
+        sets[f"gentiles1-{n}"] = (gentiles1(n), n // 2, None)
+    # cos = 4/5 and 12/13: every unit ket is an integer vector over 65.
+    a, b = math.atan2(3, 4), math.atan2(5, 12)
+    for angles in ("aaaa", "abab", "bbbb"):
+        thetas = [a if t == "a" else b for t in angles]
+        sets[f"dominoes-{angles}"] = (rotated_dominoes(*thetas), 2, 65)
     return sets
 
 
@@ -628,12 +638,14 @@ class TestExactReference:
 
     @pytest.mark.parametrize("name", list(exact_family_sets()))
     def test_pairs_and_ranks_are_exact(self, name):
-        s, m = exact_family_sets()[name]
+        s, m, denominator = exact_family_sets()[name]
         cert = certify(s)
         for record in cert.records:
-            pairs = exact_reference.exact_pairs(s, record.party, m)
+            pairs = exact_reference.exact_pairs(s, record.party, m,
+                                                denominator)
             assert np.array_equal(record.pairs, pairs)
-            rank = exact_reference.dyad_rank_mod_p(s, record.party, pairs, m)
+            rank = exact_reference.dyad_rank_mod_p(s, record.party, pairs, m,
+                                                   denominator)
             assert rank == record.span_rank
         # two_qubit_demo's party 0 ranks 2 of 3: a rank mod p below d^2 - 1
         # only bounds the exact rank from below, so there the agreement is
@@ -688,6 +700,53 @@ class TestExactReference:
         assert exact_reference.integer_det([[0, 1], [1, 0]]) == -1
         assert exact_reference.integer_det([[2, 1, 0], [1, 2, 1],
                                             [0, 1, 2]]) == 4
+
+
+def replayed_members(s, tree) -> list[int]:
+    """The members at the leaves of a component protocol, in leaf order,
+    after checking that each split's children are orthogonal on its party."""
+    if not isinstance(tree, tuple):
+        return [tree]
+    party, children = tree
+    groups = [replayed_members(s, child) for child in children]
+    v = s.local_matrix(party)
+    for a, b in itertools.combinations(groups, 2):
+        assert np.abs(v[a].conj() @ v[b].T).max() <= protocol_reference.TOL
+    return [m for group in groups for m in group]
+
+
+class TestProtocolReference:
+    """The component-protocol search (protocol_reference.py) against the
+    certifier: a set with a finite LOCC protocol is discriminable, so no set
+    may have both a protocol and a certificate."""
+
+    @pytest.mark.parametrize("build", [
+        two_qubit_demo, lambda: one_way_product_set(2, 2, 0),
+        lambda: one_way_product_set(3, 3, 0),
+        lambda: one_way_product_set(4, 5, 0)],
+        ids=["two-qubit-demo", "one-way-2x2", "one-way-3x3", "one-way-4x5"])
+    def test_protocol_replays(self, build):
+        s = build()
+        tree = protocol_reference.protocol(s)
+        assert tree is not None
+        assert sorted(replayed_members(s, tree)) == list(range(s.n_states))
+
+    @pytest.mark.parametrize("build", [
+        tiles, lambda: halder_states("full"), lambda: gentiles1(4),
+        lambda: gentiles1(6)],
+        ids=["tiles", "halder-full", "gentiles1-4", "gentiles1-6"])
+    def test_certified_families_have_none(self, build):
+        assert protocol_reference.protocol(build()) is None
+
+    def test_never_both(self):
+        classes = {}
+        for name, s in dropped_subsets():
+            certified = certify(s).verdict == CERTIFIED_INDISCRIMINABLE
+            found = protocol_reference.protocol(s) is not None
+            assert not (certified and found), name
+            classes[certified, found] = classes.get((certified, found), 0) + 1
+        assert classes == {(True, False): 30, (False, True): 20,
+                           (False, False): 46}
 
 
 class TestHyperplanes:
